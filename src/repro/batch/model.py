@@ -152,17 +152,14 @@ class BatchWorkloadModel:
         effective speed), so the memo is exact; it exists because the
         controller's candidate sweep re-evaluates many placements that
         grant the batch workload identical speeds.
-    vectorize:
-        Run evaluate/specs/candidates on the dense job-table kernels.
-        Bitwise identical to the scalar reference (``False``), which is
-        kept as the pinned baseline implementation.
     vectorize_min_jobs:
-        Minimum incomplete-job count for the array kernels to engage;
-        below it the table-building overhead outweighs the loops it
-        replaces and the scalar reference runs instead (identical
-        results either way).  ``None`` picks the tuned default
-        (:data:`VECTORIZE_MIN_JOBS`); pass 0 to force vectorization at
-        any size.
+        Minimum incomplete-job count for evaluate/specs/candidates to run
+        on the dense job-table kernels; below it the table-building
+        overhead outweighs the loops it replaces and the scalar
+        reference runs instead (bitwise identical results either way).
+        ``None`` picks the tuned default (:data:`VECTORIZE_MIN_JOBS`);
+        pass 0 to force the kernels at any size, or a count above the
+        job set to force the scalar reference.
     """
 
     def __init__(
@@ -173,7 +170,6 @@ class BatchWorkloadModel:
         prediction_method: MethodLike = PredictionMethod.EXACT,
         *,
         cache: bool = True,
-        vectorize: bool = True,
         vectorize_min_jobs: Optional[int] = None,
     ) -> None:
         self._queue = queue
@@ -181,7 +177,6 @@ class BatchWorkloadModel:
         self._queue_window = queue_window
         self._prediction_method = PredictionMethod.coerce(prediction_method)
         self._cache_enabled = cache
-        self._vectorize = vectorize
         self._vectorize_min_jobs = (
             VECTORIZE_MIN_JOBS if vectorize_min_jobs is None else vectorize_min_jobs
         )
@@ -254,12 +249,12 @@ class BatchWorkloadModel:
 
     def _vector_path(self, jobs: Sequence[Job]) -> bool:
         """Whether the array kernels should serve this job set."""
-        return self._vectorize and len(jobs) >= self._vectorize_min_jobs
+        return len(jobs) >= self._vectorize_min_jobs
 
     def app_spec_arrays(self, now: float) -> Optional[SpecArrays]:
         """Column view of :meth:`app_specs` for the vectorized solver
-        (``None`` when vectorization is off, there are no jobs, or the
-        job set is below ``vectorize_min_jobs``)."""
+        (``None`` when there are no jobs or the job set is below
+        ``vectorize_min_jobs``)."""
         jobs = self._queue.incomplete()
         if not jobs or not self._vector_path(jobs):
             return None
@@ -348,9 +343,7 @@ class BatchWorkloadModel:
             # does — lowest relative performance first (§1's LRPF), not
             # submission order — or a deep backlog would degrade the
             # controller to FCFS for everything beyond the window.
-            if self._vectorize and (
-                len(candidates) + len(waiting) >= self._vectorize_min_jobs
-            ):
+            if len(candidates) + len(waiting) >= self._vectorize_min_jobs:
                 table = self._table_for(self._queue.incomplete())
                 u_max = dict(zip(table.ids, table.u_max_array(now).tolist()))
                 waiting.sort(key=lambda job: u_max[job.job_id])

@@ -134,31 +134,19 @@ class APCConfig:
     enable_search:
         When False only the greedy admission pass runs (useful for
         ablations; the full paper algorithm keeps it True).
-    incremental:
-        Enable the fast-path machinery: the per-cycle candidate
-        evaluation memo, the O(1) per-node min-CPU admission index, the
-        no-op-node skip and the utility upper-bound short-circuit.  Every
-        one of these preserves the naive solver's decisions byte for
-        byte (pinned by test); the flag exists so benchmarks and
-        regression hunts can fall back to the reference three-loop
-        implementation.
-    vectorize:
-        Use the dense array kernels: merged per-application
-        :class:`~repro.core.loadbalance.SpecArrays` feeding the
-        vectorized load distributor, the array-scan admission pass and
-        the frontier index behind the no-op-node skip.  Decisions are
-        byte-identical with the scalar paths (pinned by test); the flag
-        exists so benchmarks can measure scalar vs. vectorized and
-        regression hunts can bisect.  Only active together with
-        ``incremental`` on clusters of at least ``fast_path_min_nodes``.
     fast_path_min_nodes:
-        Minimum cluster size for the fast-path machinery (memo, indexes,
-        vectorized kernels).  Below it the bookkeeping costs more than
-        the scans it replaces — on a 10-node cluster the memo/index
-        setup made ``incremental`` ~15% *slower* than the naive loops —
-        so small clusters run the plain reference path.  Decisions are
-        unaffected either way.  Set to 0 to force the fast path at any
-        size.
+        The controller's only solver setting: the minimum cluster size
+        for the fast path.  Clusters at or above it run the per-cycle
+        candidate evaluation memo, the O(1) per-node min-CPU admission
+        index, the no-op-node skip and the utility upper-bound
+        short-circuit over the dense array kernels (merged per-application
+        :class:`~repro.core.loadbalance.SpecArrays` feeding the vectorized
+        load distributor, the array-scan admission pass and the frontier
+        index).  Below it the bookkeeping costs more than the scans it
+        replaces, so small clusters run the reference three-loop solver.
+        Decisions are byte-identical either way (pinned by test).  Set to
+        0 to force the fast path at any size, or above the cluster size
+        to force the reference path.
     """
 
     cycle_length: float = 600.0
@@ -167,8 +155,6 @@ class APCConfig:
     improvement_epsilon: float = 0.02
     preemption_penalty: float = 0.05
     enable_search: bool = True
-    incremental: bool = True
-    vectorize: bool = True
     fast_path_min_nodes: int = 16
 
     def __post_init__(self) -> None:
@@ -193,8 +179,6 @@ class APCConfig:
             "improvement_epsilon": self.improvement_epsilon,
             "preemption_penalty": self.preemption_penalty,
             "enable_search": self.enable_search,
-            "incremental": self.incremental,
-            "vectorize": self.vectorize,
             "fast_path_min_nodes": self.fast_path_min_nodes,
         }
 
@@ -228,7 +212,7 @@ class APCResult:
     #: Whether the chosen placement differs from the starting one.
     changed: bool = False
     #: Candidate evaluations answered from the per-cycle memo (always 0
-    #: with ``incremental=False`` or below ``fast_path_min_nodes``).
+    #: on clusters below ``fast_path_min_nodes``).
     cache_hits: int = 0
 
     @property
@@ -239,21 +223,24 @@ class APCResult:
 class _FrontierIndex:
     """Per-base-state candidate frontier for the no-op-node check.
 
-    :meth:`ApplicationPlacementController._fill_possible` asks, per
-    node, whether *any* candidate could be placed on the unmodified
-    base state.  The candidate-intrinsic parts of that answer — spec
-    existence, non-divisible-and-already-placed, the max-instances cap —
-    depend only on the base state, so they are filtered once here; the
+    The fast path asks, per node, whether :meth:`_fill_node` would place
+    *any* candidate on the unmodified base state (the fill's first
+    placement decision sees exactly this state), to recognize no-op
+    zero-removal trials before paying for the state copy.  The
+    candidate-intrinsic parts of that answer — spec existence,
+    non-divisible-and-already-placed, the max-instances cap — depend
+    only on the base state, so they are filtered once here; the
     per-node remainder (memory fit, min-CPU reservation, no instance
     already on the node) becomes two array comparisons and a mask.
+    Placement constraints, when present, are then checked against the
+    base state for the surviving candidates only.
 
-    Only built without placement constraints (whose per-(app, node)
-    policy check stays scalar).  Answers are byte-identical to the
-    scalar scan: same float comparisons per surviving candidate, and
-    ``any`` over the same boolean set.
+    Answers are byte-identical to the reference fill's first decision:
+    same float comparisons per surviving candidate, and ``any`` over the
+    same boolean set.
     """
 
-    __slots__ = ("ids", "mem", "min_cpu", "on_node")
+    __slots__ = ("ids", "mem", "min_cpu", "on_node", "state", "constraints")
 
     @classmethod
     def build(
@@ -261,6 +248,7 @@ class _FrontierIndex:
         state: PlacementState,
         specs: Mapping[str, AllocatableApp],
         candidates: Sequence[str],
+        constraints: ConstraintSet,
     ) -> "_FrontierIndex":
         index = cls.__new__(cls)
         ids: List[str] = []
@@ -294,6 +282,8 @@ class _FrontierIndex:
                 if count != 0:
                     on_node.setdefault(node, []).append(row)
         index.on_node = {n: np.array(rows) for n, rows in on_node.items()}
+        index.state = state
+        index.constraints = constraints if len(constraints) else None
         return index
 
     def fill_possible(
@@ -310,7 +300,12 @@ class _FrontierIndex:
         hosted = self.on_node.get(node)
         if hosted is not None:
             ok[hosted] = False
-        return bool(ok.any())
+        if self.constraints is None:
+            return bool(ok.any())
+        return any(
+            self.constraints.allows(self.state, self.ids[row], node)
+            for row in np.flatnonzero(ok).tolist()
+        )
 
 
 class ApplicationPlacementController:
@@ -342,19 +337,11 @@ class ApplicationPlacementController:
         self._objective = resolve_objective(objective)
         #: Greedy-pass ordering; ``None`` resolves to the paper's LRPF.
         self._admission = resolve_admission(admission)
-        #: Node name -> position, replacing O(N) ``node_names.index``
-        #: lookups in the admission pass's host tie-break.
-        self._node_pos: Dict[str, int] = {
-            n: i for i, n in enumerate(cluster.node_names)
-        }
         #: Whether the fast-path machinery (memo, indexes, vector
-        #: kernels) is engaged: requires ``incremental`` and a cluster
-        #: big enough for the bookkeeping to pay for itself.  Both the
-        #: fast and the reference paths make identical decisions.
-        self._fast = (
-            self._config.incremental
-            and len(cluster) >= self._config.fast_path_min_nodes
-        )
+        #: kernels) is engaged: only on clusters big enough for the
+        #: bookkeeping to pay for itself.  Both the fast and the
+        #: reference paths make identical decisions.
+        self._fast = len(cluster) >= self._config.fast_path_min_nodes
         self._c_cache = None
         self._c_shortcut = None
         if registry is not None:
@@ -438,7 +425,7 @@ class ApplicationPlacementController:
         computation is one ``apc.place`` root span whose children break
         the cycle's decision time into phases: model spec merging
         (``apc.model_specs``), spec-array table assembly
-        (``apc.spec_tables``, vectorized path only), candidate
+        (``apc.spec_tables``, fast path only), candidate
         evaluation (``apc.evaluate``, itself split into the
         load-balancing solve ``apc.loadbalance``, the workload models'
         hypothetical/RPF prediction ``apc.predict``, and objective
@@ -466,7 +453,7 @@ class ApplicationPlacementController:
             specs = self._merge_specs(models, now)
             candidates = self._merge_candidates(models, now)
         tables: Optional[SpecArrays] = None
-        if self._fast and self._config.vectorize and specs:
+        if self._fast and specs:
             with self._span("apc.spec_tables"):
                 tables = self._merge_spec_arrays(models, specs, now)
 
@@ -873,9 +860,7 @@ class ApplicationPlacementController:
         if not unplaced:
             return False
         if self._fast:
-            if self._config.vectorize and not len(self._constraints):
-                return self._greedy_admit_vec(state, specs, unplaced, utilities)
-            return self._greedy_admit_fast(state, specs, unplaced, utilities)
+            return self._greedy_admit_vec(state, specs, unplaced, utilities)
         observe = self._audit is not None or self._tracer is not None
         placed_any = False
         for rank, app_id in enumerate(unplaced):
@@ -992,79 +977,6 @@ class ApplicationPlacementController:
             return "constraint"
         return "no_host"
 
-    def _greedy_admit_fast(
-        self,
-        state: PlacementState,
-        specs: Mapping[str, AllocatableApp],
-        unplaced: Sequence[str],
-        utilities: Mapping[str, float],
-    ) -> bool:
-        """Indexed admission pass: same decisions as the naive loop, but
-        per-node memory/min-CPU/free-CPU figures are computed once and
-        updated in O(1) per placement instead of re-derived from the
-        state for every (candidate, node) pair."""
-        node_names = self._cluster.node_names
-        committed = self._committed_min_cpu(state, specs)
-        capacity = {n: self._cluster.node(n).cpu_capacity for n in node_names}
-        mem_avail = {n: state.memory_available(n) for n in node_names}
-        # The admission pass never touches the load matrix, so free CPU
-        # (the host tie-break key) is constant throughout.
-        cpu_avail = {n: state.cpu_available(n) for n in node_names}
-        node_pos = self._node_pos
-        constraints = self._constraints if len(self._constraints) else None
-        observe = self._audit is not None or self._tracer is not None
-        placed_any = False
-        for rank, app_id in enumerate(unplaced):
-            demand = specs[app_id].demand
-            memory_mb = demand.memory_mb
-            min_cpu = demand.min_cpu_mhz
-            max_inst = demand.max_instances
-            count = state.instance_count(app_id)
-            placed_nodes: List[str] = []
-            if demand.divisible:
-                for node in node_names:
-                    if max_inst is not None and count >= max_inst:
-                        break
-                    if mem_avail[node] + EPSILON < memory_mb:
-                        continue
-                    if committed[node] + min_cpu > capacity[node] + EPSILON:
-                        continue
-                    if constraints is not None and not constraints.allows(
-                        state, app_id, node
-                    ):
-                        continue
-                    state.place(app_id, node, memory_mb)
-                    committed[node] += min_cpu
-                    mem_avail[node] -= memory_mb
-                    count += 1
-                    placed_any = True
-                    placed_nodes.append(node)
-            elif max_inst is None or count < max_inst:
-                hosts = [
-                    n
-                    for n in node_names
-                    if mem_avail[n] + EPSILON >= memory_mb
-                    and committed[n] + min_cpu <= capacity[n] + EPSILON
-                    and (
-                        constraints is None
-                        or constraints.allows(state, app_id, n)
-                    )
-                ]
-                if hosts:
-                    target = max(
-                        hosts, key=lambda n: (cpu_avail[n], -node_pos[n])
-                    )
-                    state.place(app_id, target, memory_mb)
-                    committed[target] += min_cpu
-                    mem_avail[target] -= memory_mb
-                    placed_any = True
-                    placed_nodes.append(target)
-            if observe:
-                self._note_admission(
-                    state, specs, app_id, rank, utilities, placed_nodes
-                )
-        return placed_any
-
     def _greedy_admit_vec(
         self,
         state: PlacementState,
@@ -1072,15 +984,19 @@ class ApplicationPlacementController:
         unplaced: Sequence[str],
         utilities: Mapping[str, float],
     ) -> bool:
-        """Array-scan admission pass: the decisions of
-        :meth:`_greedy_admit_fast`, with the per-candidate host scan as
-        one numpy comparison over all node columns.
+        """Array-scan admission pass: the reference pass's decisions,
+        with per-node memory/min-CPU/free-CPU figures held in arrays
+        (updated per placement instead of re-derived from the state) and
+        the per-candidate host scan as one numpy comparison over all
+        node columns.
 
-        Only used without placement constraints (the policy check is
-        per-(app, node) and stays scalar); byte-identity with the scalar
-        pass is pinned by test.  The host tie-break — most free CPU,
-        then lowest node position — maps onto ``argmax`` because numpy
-        returns the *first* maximum.
+        Placement constraints are checked per surviving node, in node
+        order, against the state as it stands after the earlier
+        placements — for a divisible application, after each of its own
+        instances lands — exactly as the reference pass checks them.
+        The host tie-break (most free CPU, then lowest node position)
+        maps onto ``argmax`` because numpy returns the *first* maximum.
+        Byte-identity with the reference pass is pinned by test.
         """
         node_index = state.node_index
         names = list(node_index)
@@ -1091,6 +1007,7 @@ class ApplicationPlacementController:
         cpu_avail = cpu_caps - state.cpu_used_array()
         committed_by_name = self._committed_min_cpu(state, specs)
         committed = np.array([committed_by_name[n] for n in names])
+        constraints = self._constraints if len(self._constraints) else None
         observe = self._audit is not None or self._tracer is not None
         placed_any = False
         for rank, app_id in enumerate(unplaced):
@@ -1104,23 +1021,34 @@ class ApplicationPlacementController:
                 committed + min_cpu <= cpu_caps + EPSILON
             )
             if demand.divisible:
-                cols = np.flatnonzero(mask)
-                if max_inst is not None:
-                    cols = cols[: max(0, max_inst - count)]
-                if cols.size:
-                    for col in cols.tolist():
-                        state.place(app_id, names[col], memory_mb)
-                        placed_nodes.append(names[col])
+                cols: List[int] = []
+                for col in np.flatnonzero(mask).tolist():
+                    if max_inst is not None and count >= max_inst:
+                        break
+                    if constraints is not None and not constraints.allows(
+                        state, app_id, names[col]
+                    ):
+                        continue
+                    state.place(app_id, names[col], memory_mb)
+                    placed_nodes.append(names[col])
+                    cols.append(col)
+                    count += 1
+                if cols:
                     committed[cols] += min_cpu
                     mem_avail[cols] -= memory_mb
                     placed_any = True
-            elif (max_inst is None or count < max_inst) and bool(mask.any()):
-                target = int(np.argmax(np.where(mask, cpu_avail, -np.inf)))
-                state.place(app_id, names[target], memory_mb)
-                committed[target] += min_cpu
-                mem_avail[target] -= memory_mb
-                placed_any = True
-                placed_nodes.append(names[target])
+            elif max_inst is None or count < max_inst:
+                if constraints is not None:
+                    for col in np.flatnonzero(mask).tolist():
+                        if not constraints.allows(state, app_id, names[col]):
+                            mask[col] = False
+                if mask.any():
+                    target = int(np.argmax(np.where(mask, cpu_avail, -np.inf)))
+                    state.place(app_id, names[target], memory_mb)
+                    committed[target] += min_cpu
+                    mem_avail[target] -= memory_mb
+                    placed_any = True
+                    placed_nodes.append(names[target])
             if observe:
                 self._note_admission(
                     state, specs, app_id, rank, utilities, placed_nodes
@@ -1217,9 +1145,6 @@ class ApplicationPlacementController:
         ``(improved, state, score, utilities, allocations)``."""
         improved = False
         fast = self._fast
-        use_frontier = (
-            fast and self._config.vectorize and not len(self._constraints)
-        )
         frontier: Optional[_FrontierIndex] = None
         frontier_base: Optional[PlacementState] = None
         audit = self._audit
@@ -1273,23 +1198,18 @@ class ApplicationPlacementController:
                     # base, so when nothing can be placed there, the
                     # trial is the incumbent itself — skip it without
                     # paying for the state copy.
-                    if use_frontier:
-                        if frontier_base is not node_base:
-                            with self._span("apc.frontier"):
-                                frontier = _FrontierIndex.build(
-                                    node_base, specs, candidates
-                                )
-                            frontier_base = node_base
-                        fillable = frontier.fill_possible(
-                            node_base.memory_available(node),
-                            self._node_committed_min(node_base, specs, node),
-                            self._cluster.node(node).cpu_capacity,
-                            node,
-                        )
-                    else:
-                        fillable = self._fill_possible(
-                            node_base, specs, candidates, best_utilities, node
-                        )
+                    if frontier_base is not node_base:
+                        with self._span("apc.frontier"):
+                            frontier = _FrontierIndex.build(
+                                node_base, specs, candidates, self._constraints
+                            )
+                        frontier_base = node_base
+                    fillable = frontier.fill_possible(
+                        node_base.memory_available(node),
+                        self._node_committed_min(node_base, specs, node),
+                        self._cluster.node(node).cpu_capacity,
+                        node,
+                    )
                     if not fillable:
                         if self._c_shortcut is not None:
                             self._c_shortcut.inc(kind="node_noop")
@@ -1365,35 +1285,6 @@ class ApplicationPlacementController:
                 continue
             committed += spec.demand.min_cpu_mhz * state.instances_on(app_id, node)
         return committed
-
-    def _fill_possible(
-        self,
-        state: PlacementState,
-        specs: Mapping[str, AllocatableApp],
-        candidates: Sequence[str],
-        utilities: Mapping[str, float],
-        node: str,
-    ) -> bool:
-        """Would :meth:`_fill_node` place anything on an *unmodified*
-        ``state``?  Equivalent because the fill's first placement
-        decision sees exactly this state; used to recognize no-op
-        zero-removal trials before paying for the state copy."""
-        committed = self._node_committed_min(state, specs, node)
-        capacity = self._cluster.node(node).cpu_capacity
-        for c in candidates:
-            spec = specs.get(c)
-            if spec is None:
-                continue
-            if not spec.demand.divisible and state.is_placed(c):
-                continue
-            if state.instances_on(c, node) != 0:
-                continue
-            if (
-                self._can_host(state, spec, node)
-                and committed + spec.demand.min_cpu_mhz <= capacity + EPSILON
-            ):
-                return True
-        return False
 
     def _fill_node(
         self,

@@ -232,13 +232,17 @@ class PlacementState:
         """``(cpu_capacity, memory_capacity)`` per node, in column order.
 
         Rebuilt on every call because capacities are availability-aware
-        (an unavailable node reports 0.0).
+        (an unavailable node reports 0.0).  Always float arrays, so the
+        array kernels can subtract float loads from them in place even
+        when a cluster was declared with integer capacities.
         """
         cpu = np.array(
-            [self._cluster.node(n).cpu_capacity for n in self._node_index]
+            [self._cluster.node(n).cpu_capacity for n in self._node_index],
+            dtype=float,
         )
         mem = np.array(
-            [self._cluster.node(n).memory_capacity for n in self._node_index]
+            [self._cluster.node(n).memory_capacity for n in self._node_index],
+            dtype=float,
         )
         return cpu, mem
 

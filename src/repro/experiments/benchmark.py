@@ -5,20 +5,20 @@ the cost under measurement is :meth:`place` itself) over rolling control
 cycles of a saturated mixed-class workload, at a ladder of cluster
 sizes.  Each size is timed twice from identical initial conditions:
 
-* **naive** — ``APCConfig(incremental=False, vectorize=False)`` and an
-  uncached, unvectorized batch model: the reference three-nested-loop
-  scalar solver;
+* **naive** — ``fast_path_min_nodes`` and the batch model's
+  ``vectorize_min_jobs`` set above the rung's size, and the model's
+  evaluation cache off: the reference three-nested-loop scalar solver;
 * **incremental** — the defaults: per-cycle evaluation memo, O(1)
   admission indexes, no-op-node skip, utility upper-bound short-circuit
   and the dense numpy kernels (spec tables, vectorized load
   distribution, array-scan admission and frontier checks) on clusters
-  big enough for them to pay off.
+  of at least ``fast_path_min_nodes``.
 
 The two runs' per-cycle placement matrices are compared for equality —
 the fast path must be *byte-identical* in its decisions, not just
-faster — so every ladder rung doubles as a scalar-vs-vectorized
-identity pin.  The per-cycle ``place()`` timings are reduced to
-medians.
+faster — so every ladder rung at or above ``fast_path_min_nodes``
+doubles as a reference-vs-fast identity pin.  The per-cycle ``place()``
+timings are reduced to medians.
 
 Output is a JSON document (schema ``repro.bench.apc/v1``)::
 
@@ -88,7 +88,7 @@ def _bench_scenario(nodes: int, seed: int) -> Scenario:
 def _run_cycles(
     scenario: Scenario,
     cycles: int,
-    incremental: bool,
+    naive: bool = False,
     profiler: Optional[SpanProfiler] = None,
 ) -> Dict[str, object]:
     """Roll the controller over ``cycles`` control cycles, timing each
@@ -96,9 +96,11 @@ def _run_cycles(
     cycles (the simulator's execution rule, minus event-queue overhead
     that would pollute the measurement).
 
-    The naive leg (``incremental=False``) also disables vectorization —
-    model and controller — so it stays the pinned scalar reference the
-    fast path is compared against.
+    The ``naive`` leg lifts both size thresholds — the controller's
+    ``fast_path_min_nodes`` and the model's ``vectorize_min_jobs`` —
+    above the rung's size and turns off the model's evaluation cache, so
+    it stays the pinned scalar reference the fast path is compared
+    against.
     """
     cluster = scenario.build_cluster()
     jobs = scenario.build_jobs()
@@ -106,11 +108,13 @@ def _run_cycles(
     model = BatchWorkloadModel(
         queue,
         queue_window=scenario.queue_window,
-        cache=incremental,
-        vectorize=incremental,
+        cache=not naive,
+        vectorize_min_jobs=len(jobs) + 1 if naive else None,
     )
-    config = dataclasses.replace(
-        scenario.apc, incremental=incremental, vectorize=incremental
+    config = (
+        dataclasses.replace(scenario.apc, fast_path_min_nodes=len(cluster) + 1)
+        if naive
+        else scenario.apc
     )
     controller = ApplicationPlacementController(
         cluster, config, profiler=profiler
@@ -162,9 +166,9 @@ def bench_apc_scale(
     results: List[Dict[str, object]] = []
     for nodes in sizes:
         scenario = _bench_scenario(nodes, seed)
-        naive = _run_cycles(scenario, cycles, incremental=False)
-        fast = _run_cycles(scenario, cycles, incremental=True)
-        naive_ms = statistics.median(naive["timings"]) * 1000.0
+        reference = _run_cycles(scenario, cycles, naive=True)
+        fast = _run_cycles(scenario, cycles)
+        naive_ms = statistics.median(reference["timings"]) * 1000.0
         fast_ms = statistics.median(fast["timings"]) * 1000.0
         results.append(
             {
@@ -173,7 +177,7 @@ def bench_apc_scale(
                 "naive_ms": naive_ms,
                 "incremental_ms": fast_ms,
                 "speedup_median": naive_ms / fast_ms if fast_ms > 0 else float("inf"),
-                "identical": naive["matrices"] == fast["matrices"],
+                "identical": reference["matrices"] == fast["matrices"],
             }
         )
     return {
@@ -200,7 +204,7 @@ def profile_bench(
         nodes = max(DEFAULT_SIZES)
     profiler = SpanProfiler()
     scenario = _bench_scenario(nodes, seed)
-    _run_cycles(scenario, cycles, incremental=True, profiler=profiler)
+    _run_cycles(scenario, cycles, profiler=profiler)
     header = (
         f"APC phase profile: {nodes} nodes, {scenario.job_count} jobs, "
         f"{cycles} cycles (incremental solver)"

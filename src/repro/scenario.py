@@ -271,11 +271,9 @@ class Simulation:
             queue,
             queue_window=scenario.queue_window,
             prediction_method=scenario.prediction_method,
-            # The model's array kernels follow the controller's
-            # vectorize switch; fast_path_min_nodes=0 ("force the fast
-            # path at any size") also lifts the model's job-count floor
-            # so small identity-test scenarios exercise the kernels.
-            vectorize=scenario.apc.vectorize,
+            # fast_path_min_nodes=0 ("force the fast path at any size")
+            # also lifts the model's job-count floor so small
+            # identity-test scenarios exercise the array kernels.
             vectorize_min_jobs=(
                 0 if scenario.apc.fast_path_min_nodes == 0 else None
             ),

@@ -7,6 +7,7 @@ import pytest
 from repro.batch.job import Job, JobProfile
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
+from repro.core.apc import APCConfig
 
 
 @pytest.fixture
@@ -62,3 +63,31 @@ def queue_with(illustrative_jobs) -> JobQueue:
     for job in illustrative_jobs:
         queue.submit(job)
     return queue
+
+
+def solver_config(fast=None) -> APCConfig:
+    """An ``APCConfig`` on one solver path.
+
+    ``True`` forces the fast path at any cluster size
+    (``fast_path_min_nodes=0``, which ``Simulation`` also passes on to
+    the batch model's job-count floor); ``False`` keeps the threshold
+    above every test cluster, so the reference path runs; ``None`` keeps
+    the default configuration.
+    """
+    if fast is None:
+        return APCConfig()
+    return APCConfig(fast_path_min_nodes=0 if fast else 1000)
+
+
+def assert_solver_path(profiler, fast: bool) -> None:
+    """Pin which APC solver path a profiled run took.
+
+    The fast path (memo plus array kernels) records ``apc.spec_tables``
+    spans and the reference path never does, so an identity pin between
+    the two cannot silently compare one path against itself.
+    """
+    tables = sum(r.name == "apc.spec_tables" for r in profiler.records)
+    expected = "fast" if fast else "reference"
+    assert (tables > 0) == fast, (
+        f"expected the {expected} path, saw {tables} apc.spec_tables spans"
+    )

@@ -319,18 +319,25 @@ class TestHealth:
 # ----------------------------------------------------------------------
 # Simulator integration
 # ----------------------------------------------------------------------
-def _run_scenario_metrics(alerts=None, incremental=True):
+def _run_scenario_metrics(alerts=None, fast=True):
+    """One small run on the chosen solver path (``fast_path_min_nodes``
+    0 against one above the 2-node cluster), with the path asserted."""
+    from repro.obs.spans import SpanProfiler
     from repro.scenario import Scenario, Simulation
     from repro.sim.export import metrics_to_json
     from repro.sim.simulator import SimulationConfig
 
+    from tests.conftest import assert_solver_path, solver_config
+
     scenario = Scenario(
         name="ident", nodes=2, job_count=6, interarrival=80.0, seed=4,
-        apc=APCConfig(incremental=incremental),
+        apc=solver_config(fast),
         sim=SimulationConfig(alerts=alerts),
     )
-    simulation = Simulation.from_scenario(scenario)
+    profiler = SpanProfiler()
+    simulation = Simulation.from_scenario(scenario, profiler=profiler)
     metrics = simulation.run()
+    assert_solver_path(profiler, fast)
     doc = json.loads(metrics_to_json(metrics))
     # Wall-clock decision timing is nondeterministic run to run even
     # without alerting; everything else must match exactly.
@@ -341,10 +348,10 @@ def _run_scenario_metrics(alerts=None, incremental=True):
 
 
 class TestSimulatorIntegration:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_alerting_does_not_change_results(self, incremental):
-        sim_off, doc_off = _run_scenario_metrics(None, incremental)
-        sim_on, doc_on = _run_scenario_metrics(AlertConfig(), incremental)
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_alerting_does_not_change_results(self, fast):
+        sim_off, doc_off = _run_scenario_metrics(None, fast)
+        sim_on, doc_on = _run_scenario_metrics(AlertConfig(), fast)
         assert sim_off.simulator.alert_engine is None
         assert sim_on.simulator.alert_engine is not None
         assert doc_on == doc_off

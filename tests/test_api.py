@@ -158,7 +158,7 @@ def _through_json(data):
 
 def test_apcconfig_round_trip():
     config = APCConfig(
-        cycle_length=450.0, search_sweeps=3, incremental=False
+        cycle_length=450.0, search_sweeps=3, fast_path_min_nodes=0
     )
     clone = APCConfig.from_dict(_through_json(config.to_dict()))
     assert clone == config
@@ -167,6 +167,16 @@ def test_apcconfig_round_trip():
 def test_apcconfig_rejects_unknown_keys():
     with pytest.raises(ConfigurationError):
         APCConfig.from_dict({"cycle_len": 600.0})
+
+
+@pytest.mark.parametrize("key", ["incremental", "vectorize"])
+def test_apcconfig_rejects_removed_solver_flags(key):
+    """The retired solver switches are unknown keys now;
+    ``fast_path_min_nodes`` is the only solver setting."""
+    with pytest.raises(ConfigurationError, match=key):
+        APCConfig.from_dict({key: True})
+    with pytest.raises(TypeError):
+        APCConfig(**{key: True})
 
 
 def test_simulationconfig_round_trip_defaults():

@@ -18,7 +18,7 @@ from repro.core.placement import AppDemand, PlacementState
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.sim.export import completions_to_csv, cycles_to_csv, metrics_to_json
 from repro.sim.metrics import MetricsRecorder
-from repro.sim.policies import APCPolicy, FCFSPolicy
+from repro.policies import APCPolicy, FCFSPolicy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.txn.router import RequestRouter
 from repro.virt.costs import FREE_COST_MODEL

@@ -11,7 +11,7 @@ from repro.cluster import Cluster
 from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.placement import PlacementState
 from repro.errors import ConfigurationError
-from repro.sim.policies import LRPFPolicy
+from repro.policies import LRPFPolicy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.virt.costs import FREE_COST_MODEL
 
@@ -84,7 +84,7 @@ class TestParallelJobPlacement:
         apc = ApplicationPlacementController(
             small_cluster, APCConfig(cycle_length=600.0)
         )
-        from repro.sim.policies import APCPolicy
+        from repro.policies import APCPolicy
 
         sim = MixedWorkloadSimulator(
             small_cluster,

@@ -14,7 +14,7 @@ from repro.cluster import Cluster
 from repro.errors import ConfigurationError
 from repro.sim.metrics import ActionFaultStats
 from repro.sim.monitoring import ActuatorHealthMonitor
-from repro.sim.policies import APCPolicy, ScriptedPolicy
+from repro.policies import APCPolicy, ScriptedPolicy
 from repro.sim.reconcile import Decision, PendingAction, Reconciler
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.sim.trace import SimulationTrace, TraceEventKind

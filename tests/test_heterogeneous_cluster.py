@@ -9,7 +9,7 @@ from repro.batch.queue import JobQueue
 from repro.cluster import Cluster, Node, NodeSpec
 from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.placement import PlacementState
-from repro.sim.policies import APCPolicy, FCFSPolicy
+from repro.policies import APCPolicy, FCFSPolicy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.virt.costs import FREE_COST_MODEL
 

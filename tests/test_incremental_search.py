@@ -15,12 +15,18 @@ from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.placement import PlacementState
 from repro.experiments.benchmark import _bench_scenario, _run_cycles
 from repro.obs.registry import MetricRegistry
+from repro.obs.spans import SpanProfiler
 from repro.scenario import Scenario
+
+from tests.conftest import assert_solver_path
 
 
 def _identity_case(scenario, cycles):
-    naive = _run_cycles(scenario, cycles, incremental=False)
-    fast = _run_cycles(scenario, cycles, incremental=True)
+    naive_spans, fast_spans = SpanProfiler(), SpanProfiler()
+    naive = _run_cycles(scenario, cycles, naive=True, profiler=naive_spans)
+    fast = _run_cycles(scenario, cycles, profiler=fast_spans)
+    assert_solver_path(naive_spans, fast=False)
+    assert_solver_path(fast_spans, fast=True)
     assert naive["matrices"] == fast["matrices"]
 
 
@@ -58,7 +64,9 @@ def test_identity_memo_hit_regime():
         interarrival=30.0,
         seed=7,
         queue_window=16,
-        apc=APCConfig(search_sweeps=3),
+        # fast_path_min_nodes=0: engage the fast path on the 5-node
+        # cluster, below the default engagement threshold.
+        apc=APCConfig(search_sweeps=3, fast_path_min_nodes=0),
     )
     _identity_case(scenario, cycles=8)
 
@@ -72,6 +80,7 @@ def test_identity_underloaded_small_cluster():
         interarrival=900.0,
         seed=2,
         queue_window=48,
+        apc=APCConfig(fast_path_min_nodes=0),
     )
     _identity_case(scenario, cycles=6)
 
@@ -112,7 +121,7 @@ def test_fast_path_actually_engages():
         cluster,
         # fast_path_min_nodes=0: engage the fast path despite the small
         # (5-node) memo-regime cluster.
-        APCConfig(incremental=True, search_sweeps=3, fast_path_min_nodes=0),
+        APCConfig(search_sweeps=3, fast_path_min_nodes=0),
         registry=registry,
     )
     state = PlacementState(cluster)
@@ -137,7 +146,7 @@ def test_fast_path_actually_engages():
 
 def test_naive_solver_reports_no_cache_hits():
     scenario = _bench_scenario(10, seed=7)
-    run = _run_cycles(scenario, cycles=4, incremental=False)
+    run = _run_cycles(scenario, cycles=4, naive=True)
     assert len(run["timings"]) == 4  # naive path still times every cycle
 
 
@@ -155,23 +164,34 @@ MEMO_SCENARIO = Scenario(
 )
 
 
-def _run_audited(scenario, cycles, *, incremental, audit=None, sweeps=3):
+def _run_audited(scenario, cycles, *, fast, audit=None, sweeps=3):
     """Drive the controller loop directly (as ``repro bench`` does) with
-    an optional audit attached; returns the per-cycle matrices."""
+    an optional audit attached; returns the per-cycle matrices.
+
+    ``fast`` picks the solver path through the two size thresholds: 0
+    engages the fast path (and the model's array kernels) on the 5-node
+    cluster; a threshold above the cluster and job counts forces the
+    reference path."""
     cluster = scenario.build_cluster()
+    jobs = scenario.build_jobs()
     queue = JobQueue()
-    model = BatchWorkloadModel(queue, queue_window=scenario.queue_window)
+    model = BatchWorkloadModel(
+        queue,
+        queue_window=scenario.queue_window,
+        vectorize_min_jobs=0 if fast else len(jobs) + 1,
+    )
+    profiler = SpanProfiler()
     controller = ApplicationPlacementController(
         cluster,
-        # fast_path_min_nodes=0: the audit-vs-fast-path comparisons run
-        # on a 5-node cluster, below the default engagement threshold.
         APCConfig(
-            incremental=incremental, search_sweeps=sweeps, fast_path_min_nodes=0
+            search_sweeps=sweeps,
+            fast_path_min_nodes=0 if fast else len(cluster) + 1,
         ),
         audit=audit,
+        profiler=profiler,
     )
     state = PlacementState(cluster)
-    pending = sorted(scenario.build_jobs(), key=lambda j: j.submit_time)
+    pending = sorted(jobs, key=lambda j: j.submit_time)
     now, horizon = 0.0, 600.0
     matrices = []
     for _ in range(cycles):
@@ -181,6 +201,7 @@ def _run_audited(scenario, cycles, *, incremental, audit=None, sweeps=3):
         state = result.state
         matrices.append(state.as_matrix())
         now += horizon
+    assert_solver_path(profiler, fast)
     return matrices
 
 
@@ -194,14 +215,13 @@ def _scrub(record):
     return {k: v for k, v in record.items() if k not in skip}
 
 
-@pytest.mark.parametrize("incremental", [False, True])
-def test_audit_attachment_never_changes_placements(incremental):
+@pytest.mark.parametrize("fast", [False, True])
+def test_audit_attachment_never_changes_placements(fast):
     from repro.obs.audit import DecisionAudit
 
-    plain = _run_audited(MEMO_SCENARIO, 6, incremental=incremental)
+    plain = _run_audited(MEMO_SCENARIO, 6, fast=fast)
     audit = DecisionAudit()
-    audited = _run_audited(MEMO_SCENARIO, 6, incremental=incremental,
-                           audit=audit)
+    audited = _run_audited(MEMO_SCENARIO, 6, fast=fast, audit=audit)
     assert plain == audited
     assert len(audit) > 0
 
@@ -214,8 +234,8 @@ def test_audit_decision_records_identical_across_paths():
     from repro.obs.audit import DecisionAudit
 
     naive, fast = DecisionAudit(), DecisionAudit()
-    m0 = _run_audited(MEMO_SCENARIO, 6, incremental=False, audit=naive)
-    m1 = _run_audited(MEMO_SCENARIO, 6, incremental=True, audit=fast)
+    m0 = _run_audited(MEMO_SCENARIO, 6, fast=False, audit=naive)
+    m1 = _run_audited(MEMO_SCENARIO, 6, fast=True, audit=fast)
     assert m0 == m1
 
     def decisions(audit):
@@ -234,7 +254,7 @@ def test_audit_marks_memo_hits_in_memo_regime():
     from repro.obs.audit import DecisionAudit
 
     audit = DecisionAudit()
-    _run_audited(MEMO_SCENARIO, 6, incremental=True, audit=audit)
+    _run_audited(MEMO_SCENARIO, 6, fast=True, audit=audit)
     candidates = [r for r in audit.records if r["type"] == "audit_candidate"]
     assert any(r.get("cached") for r in candidates)
     assert any(r.get("cached") is False for r in candidates)

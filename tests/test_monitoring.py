@@ -12,7 +12,7 @@ from repro.sim.monitoring import (
     MonitoredTransactionalModel,
     MonitoringPolicyWrapper,
 )
-from repro.sim.policies import APCPolicy
+from repro.policies import APCPolicy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.txn.application import TransactionalApp
 from repro.txn.workload import ConstantTrace

@@ -8,7 +8,7 @@ from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
 from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.placement import PlacementState
-from repro.sim.policies import APCPolicy
+from repro.policies import APCPolicy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.virt.costs import FREE_COST_MODEL
 

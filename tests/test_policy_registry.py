@@ -8,12 +8,10 @@ guarantee that plugging the defaults in explicitly changes nothing:
 the default-config APC is byte-identical on both solver paths.
 """
 
-import importlib
 import json
 
 import pytest
 
-from repro._compat import reset_deprecation_warnings
 from repro.core.admission import (
     AdmissionStrategy,
     FCFSAdmission,
@@ -37,7 +35,10 @@ from repro.policies import (
     ProportionalFairnessPolicy,
     default_policy_registry,
 )
+from repro.obs.spans import SpanProfiler
 from repro.scenario import Scenario, Simulation
+
+from tests.conftest import assert_solver_path
 
 ZERO_CLOCK = lambda: 0.0  # noqa: E731 - deterministic decision timing
 
@@ -224,11 +225,11 @@ class TestPolicyRegistry:
 class TestDefaultPlugByteIdentity:
     """The redesign's core safety property: the default-config APC with
     ``LexMaxMinObjective``/``LRPFAdmission`` plugged explicitly produces
-    byte-for-byte the run of the unplugged controller, on the scalar and
-    vectorized solver paths alike."""
+    byte-for-byte the run of the unplugged controller, on the reference
+    and fast solver paths alike."""
 
     @staticmethod
-    def run_json(policy_params, vectorize, fast_path_min_nodes):
+    def run_json(policy_params, fast_path_min_nodes):
         scenario = Scenario(
             name="identity",
             nodes=4,
@@ -237,13 +238,14 @@ class TestDefaultPlugByteIdentity:
             seed=7,
             policy="apc",
             policy_params=policy_params,
-            apc={
-                "vectorize": vectorize,
-                "fast_path_min_nodes": fast_path_min_nodes,
-            },
+            apc={"fast_path_min_nodes": fast_path_min_nodes},
         )
-        sim = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
+        profiler = SpanProfiler()
+        sim = Simulation.from_scenario(
+            scenario, decision_clock=ZERO_CLOCK, profiler=profiler
+        )
         sim.run()
+        assert_solver_path(profiler, fast=fast_path_min_nodes == 0)
         # The embedded scenario dict legitimately differs (it records the
         # plug request); everything the run *produced* must not.
         return json.dumps(
@@ -254,46 +256,16 @@ class TestDefaultPlugByteIdentity:
             sort_keys=True,
         )
 
-    @pytest.mark.parametrize("vectorize", [True, False])
     @pytest.mark.parametrize("fast_path_min_nodes", [0, 1000])
-    def test_identical(self, vectorize, fast_path_min_nodes):
-        default = self.run_json({}, vectorize, fast_path_min_nodes)
+    def test_identical(self, fast_path_min_nodes):
+        default = self.run_json({}, fast_path_min_nodes)
         plugged = self.run_json(
             {
                 "objective": {"name": "lex_maxmin"},
                 "admission": {"name": "lrpf"},
             },
-            vectorize,
             fast_path_min_nodes,
         )
         assert default == plugged
 
 
-# ----------------------------------------------------------------------
-# The repro.sim.policies compatibility shim
-# ----------------------------------------------------------------------
-class TestCompatShim:
-    def test_import_warns_once(self):
-        import repro.sim.policies as shim
-
-        reset_deprecation_warnings()
-        with pytest.deprecated_call():
-            importlib.reload(shim)
-
-    def test_old_names_are_the_new_objects(self):
-        import repro.policies as policies
-        import repro.sim.policies as shim
-
-        for name in (
-            "PlacementPolicy",
-            "ScriptedPolicy",
-            "FCFSPolicy",
-            "EDFPolicy",
-            "LRPFPolicy",
-            "APCPolicy",
-            "PartitionedPolicy",
-        ):
-            assert getattr(shim, name) is getattr(policies, name)
-        # Pre-move private helpers stay reachable for old callers.
-        assert shim._current_assignment is policies.current_assignment
-        assert shim._build_batch_state is policies.build_batch_state

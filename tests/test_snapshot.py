@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.apc import APCConfig
 from repro.errors import CheckpointError
+from repro.obs.spans import SpanProfiler
 from repro.scenario import Scenario, Simulation
 from repro.sim.metrics import CycleSample, JobCompletionRecord
 from repro.sim.reconcile import PendingAction
@@ -30,6 +30,8 @@ from repro.sim.snapshot import SNAPSHOT_SCHEMA_VERSION
 from repro.sim.trace import SimulationTrace
 from repro.virt.faults import ActionFaultModel, RetryPolicy
 
+from tests.conftest import assert_solver_path, solver_config
+
 ZERO_CLOCK = lambda: 0.0  # noqa: E731 - deterministic decision timing
 
 CYCLE = 600.0
@@ -37,7 +39,7 @@ CYCLE = 600.0
 
 def faulty_scenario(
     seed=0,
-    incremental=True,
+    fast=None,
     faults=True,
     failures=(),
     job_count=14,
@@ -67,7 +69,7 @@ def faulty_scenario(
         interarrival=100.0,
         seed=seed,
         sim=sim_cfg,
-        apc=APCConfig(incremental=incremental),
+        apc=solver_config(fast),
     )
 
 
@@ -106,12 +108,22 @@ def run_interrupted(scenario, snapshot_time, trace=False):
 # ----------------------------------------------------------------------
 # Byte-identity across solver paths, faults on and off
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("incremental", [True, False])
-@pytest.mark.parametrize("faults", [True, False])
-def test_restore_equals_uninterrupted(incremental, faults):
-    scenario = faulty_scenario(seed=3, incremental=incremental, faults=faults)
-    reference = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
+def run_uninterrupted(scenario, fast):
+    """The reference run, with the solver path it took asserted."""
+    profiler = SpanProfiler()
+    reference = Simulation.from_scenario(
+        scenario, decision_clock=ZERO_CLOCK, profiler=profiler
+    )
     reference.run()
+    assert_solver_path(profiler, fast)
+    return reference
+
+
+@pytest.mark.parametrize("fast", [True, False])
+@pytest.mark.parametrize("faults", [True, False])
+def test_restore_equals_uninterrupted(fast, faults):
+    scenario = faulty_scenario(seed=3, fast=fast, faults=faults)
+    reference = run_uninterrupted(scenario, fast)
     resumed = run_interrupted(scenario, snapshot_time=2 * CYCLE + 300.0)
     assert final_state_json(reference) == final_state_json(resumed)
 
@@ -183,15 +195,12 @@ def test_run_until_then_continue_in_process():
     seed=st.integers(min_value=0, max_value=40),
     cycles=st.integers(min_value=0, max_value=6),
     offset=st.sampled_from([10.0, 170.0, 300.0, 599.0]),
-    incremental=st.booleans(),
+    fast=st.booleans(),
 )
-def test_snapshot_restore_property(seed, cycles, offset, incremental):
+def test_snapshot_restore_property(seed, cycles, offset, fast):
     """Any snapshot point, any seed, both solvers: restore is lossless."""
-    scenario = faulty_scenario(
-        seed=seed, incremental=incremental, job_count=10
-    )
-    reference = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
-    reference.run()
+    scenario = faulty_scenario(seed=seed, fast=fast, job_count=10)
+    reference = run_uninterrupted(scenario, fast)
     resumed = run_interrupted(scenario, snapshot_time=cycles * CYCLE + offset)
     assert final_state_json(reference) == final_state_json(resumed)
 

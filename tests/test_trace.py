@@ -5,7 +5,7 @@ import pytest
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
-from repro.sim.policies import EDFPolicy
+from repro.policies import EDFPolicy
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.sim.trace import SimulationTrace, TraceEvent, TraceEventKind
 from repro.virt.costs import FREE_COST_MODEL
@@ -47,23 +47,6 @@ class TestSimulationTrace:
         assert trace.dropped_events == 2
         assert trace.events()[0].time == 2.0
         assert "older events dropped" in trace.render()
-
-    def test_dropped_alias_warns_once(self):
-        from repro._compat import reset_deprecation_warnings
-
-        reset_deprecation_warnings()
-        trace = SimulationTrace(capacity=2)
-        for t in range(5):
-            trace.emit(float(t), TraceEventKind.ARRIVAL, f"j{t}")
-        with pytest.deprecated_call(match="dropped_events"):
-            assert trace.dropped == 3
-        # One-shot: the second read is silent.
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert trace.dropped == 3
-        reset_deprecation_warnings()
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):

@@ -22,9 +22,9 @@ import math
 
 import pytest
 
-from repro.core.apc import APCConfig
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricRegistry, render_prometheus
+from repro.obs.spans import SpanProfiler
 from repro.obs.sink import (
     MIN_TRACE_SCHEMA_VERSION,
     SCHEMA_VERSION,
@@ -46,12 +46,14 @@ from repro.scenario import Scenario, Simulation
 from repro.sim.simulator import SimulationConfig
 from repro.virt.faults import ActionFaultModel, RetryPolicy
 
+from tests.conftest import assert_solver_path, solver_config
+
 ZERO_CLOCK = lambda: 0.0  # noqa: E731 - deterministic decision timing
 
 CYCLE = 600.0
 
 
-def faulty_scenario(seed=3, incremental=True, faults=True, job_count=14):
+def faulty_scenario(seed=3, fast=None, faults=True, job_count=14):
     fault_model = (
         ActionFaultModel.uniform(
             failure_probability=0.45,
@@ -74,14 +76,14 @@ def faulty_scenario(seed=3, incremental=True, faults=True, job_count=14):
             retry_policy=RetryPolicy(max_attempts=4, base_delay=60.0),
             action_timeout=150.0,
         ),
-        apc=APCConfig(incremental=incremental),
+        apc=solver_config(fast),
     )
 
 
-def traced_run(scenario, tracer=None):
+def traced_run(scenario, tracer=None, profiler=None):
     tracer = tracer or JobTracer()
     sim = Simulation.from_scenario(
-        scenario, decision_clock=ZERO_CLOCK, tracer=tracer
+        scenario, decision_clock=ZERO_CLOCK, tracer=tracer, profiler=profiler
     )
     sim.run()
     return sim, tracer
@@ -116,12 +118,14 @@ def stripped_state(sim):
 # Zero overhead with tracing off (both solver paths, faults on)
 # ----------------------------------------------------------------------
 class TestTracingOffByteIdentity:
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_results_identical_with_and_without_tracer(self, incremental):
-        scenario = faulty_scenario(incremental=incremental)
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_results_identical_with_and_without_tracer(self, fast):
+        scenario = faulty_scenario(fast=fast)
         plain = Simulation.from_scenario(scenario, decision_clock=ZERO_CLOCK)
         plain.run()
-        traced, tracer = traced_run(scenario)
+        profiler = SpanProfiler()
+        traced, tracer = traced_run(scenario, profiler=profiler)
+        assert_solver_path(profiler, fast)
         assert len(tracer) > 0
         assert stripped_state(plain) == stripped_state(traced)
 

@@ -1,12 +1,12 @@
-"""The vectorized numpy core must be *byte-identical* to the scalar
-paths it replaces — same placements, same audit stream, same snapshots —
-on both solver regimes, with faults and checkpoint/restore active.
+"""The fast path's vectorized numpy core must be *byte-identical* to
+the reference scalar path it replaces — same placements, same audit
+stream, same snapshots — with faults and checkpoint/restore active.
 
 Three layers of pinning:
 
 * full-simulation byte-identity (``json.dumps`` of metrics, trace and
-  final snapshot) between ``vectorize=True`` and ``vectorize=False``
-  runs, including a checkpoint taken mid-run on the vectorized path;
+  final snapshot) between fast-path and reference-path runs, including
+  a checkpoint taken mid-run on the fast path;
 * a hypothesis property: random placement edit sequences keep the dense
   array mirrors in bitwise lockstep with the authoritative dicts;
 * scalar/vector parity of :func:`~repro.core.objective.lex_explain` and
@@ -14,7 +14,9 @@ Three layers of pinning:
 
 ``fast_path_min_nodes=0`` forces the fast path (and, via
 :class:`~repro.scenario.Simulation`, the model's vectorized paths) on
-the deliberately tiny test clusters.
+the deliberately tiny test clusters; a threshold above the cluster size
+forces the reference path.  Every run asserts from its span profile
+which path it took.
 """
 
 import json
@@ -41,18 +43,20 @@ from repro.sim.simulator import SimulationConfig
 from repro.sim.trace import SimulationTrace
 from repro.virt.faults import ActionFaultModel, RetryPolicy
 
+from tests.conftest import assert_solver_path, solver_config
+
 ZERO_CLOCK = lambda: 0.0  # noqa: E731 - deterministic decision timing
 
 CYCLE = 600.0
 
 
-def vec_scenario(*, incremental, vectorize, faults=True, seed=0):
-    """test_snapshot's fault-injected scenario, plus the vectorize knobs.
+def vec_scenario(*, fast, faults=True, seed=0):
+    """test_snapshot's fault-injected scenario on one solver path.
 
     ``fast_path_min_nodes=0`` both engages the controller fast path on
     the 3-node cluster and (propagated by ``Simulation.build``) lifts
-    the batch model's job-count floor, so the numpy kernels actually run
-    when ``vectorize=True``.
+    the batch model's job-count floor, so the numpy kernels actually
+    run; the reference side keeps both thresholds above the run's size.
     """
     fault_model = (
         ActionFaultModel.uniform(
@@ -76,29 +80,30 @@ def vec_scenario(*, incremental, vectorize, faults=True, seed=0):
             retry_policy=RetryPolicy(max_attempts=4, base_delay=60.0),
             action_timeout=150.0,
         ),
-        apc=APCConfig(
-            incremental=incremental, vectorize=vectorize, fast_path_min_nodes=0
-        ),
+        apc=solver_config(fast),
     )
 
 
-def _scrub_vectorize(obj):
-    """Drop ``vectorize`` config keys: the snapshot embeds the scenario's
-    APCConfig, so the knob *setting* is the single legitimate difference
-    between the two runs — everything downstream of it must be equal."""
+def _scrub_path_setting(obj):
+    """Drop ``fast_path_min_nodes`` config keys: the snapshot embeds the
+    scenario's APCConfig, so the threshold *setting* is the single
+    legitimate difference between the two runs — everything downstream
+    of it must be equal."""
     if isinstance(obj, dict):
         return {
-            k: _scrub_vectorize(v) for k, v in obj.items() if k != "vectorize"
+            k: _scrub_path_setting(v)
+            for k, v in obj.items()
+            if k != "fast_path_min_nodes"
         }
     if isinstance(obj, list):
-        return [_scrub_vectorize(v) for v in obj]
+        return [_scrub_path_setting(v) for v in obj]
     return obj
 
 
 def final_state_json(sim):
     """Everything observable about a finished run, as one JSON string."""
     return json.dumps(
-        _scrub_vectorize(
+        _scrub_path_setting(
             {
                 "metrics": sim.simulator.metrics.state_dict(),
                 "trace": None
@@ -111,58 +116,64 @@ def final_state_json(sim):
     )
 
 
-def run_full(scenario):
+def run_full(*, fast, faults=True):
+    profiler = SpanProfiler()
     sim = Simulation.from_scenario(
-        scenario, decision_clock=ZERO_CLOCK, trace=SimulationTrace()
+        vec_scenario(fast=fast, faults=faults),
+        decision_clock=ZERO_CLOCK,
+        trace=SimulationTrace(),
+        profiler=profiler,
     )
     sim.run()
+    assert_solver_path(profiler, fast)
     return sim
 
 
 # ----------------------------------------------------------------------
-# Full-simulation byte-identity, vectorized vs scalar
+# Full-simulation byte-identity, fast vs reference
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("incremental", [True, False])
 @pytest.mark.parametrize("faults", [True, False])
-def test_vectorized_run_is_byte_identical_to_scalar(incremental, faults):
-    """The tentpole contract: flipping ``vectorize`` changes nothing
+def test_vectorized_run_is_byte_identical_to_scalar(faults):
+    """The tentpole contract: switching solver paths changes nothing
     observable — metrics, trace, queue, placement matrices, RNG stream —
-    on either solver path, with fault injection active."""
-    vec = run_full(
-        vec_scenario(incremental=incremental, vectorize=True, faults=faults)
-    )
-    scalar = run_full(
-        vec_scenario(incremental=incremental, vectorize=False, faults=faults)
-    )
-    assert final_state_json(vec) == final_state_json(scalar)
+    with or without fault injection."""
+    fast = run_full(fast=True, faults=faults)
+    reference = run_full(fast=False, faults=faults)
+    assert final_state_json(fast) == final_state_json(reference)
 
 
 def test_vectorized_snapshot_restore_matches_scalar_uninterrupted():
-    """Checkpoint the vectorized path mid-run (while retries and stall
-    timers are in flight), resume it, and compare against an
-    *uninterrupted scalar* run: identity must hold through the snapshot
-    format too."""
+    """Checkpoint the fast path mid-run (while retries and stall timers
+    are in flight), resume it, and compare against an *uninterrupted
+    reference* run: identity must hold through the snapshot format too."""
     partial = Simulation.from_scenario(
-        vec_scenario(incremental=True, vectorize=True),
+        vec_scenario(fast=True),
         decision_clock=ZERO_CLOCK,
         trace=SimulationTrace(),
     )
     partial.run(until=3 * CYCLE + 20.0)
     snapshot = json.loads(json.dumps(partial.snapshot()))
+    profiler = SpanProfiler()
     resumed = Simulation.from_snapshot(
-        snapshot, decision_clock=ZERO_CLOCK, trace=SimulationTrace()
+        snapshot,
+        decision_clock=ZERO_CLOCK,
+        trace=SimulationTrace(),
+        profiler=profiler,
     )
     resumed.run()
-    scalar = run_full(vec_scenario(incremental=True, vectorize=False))
-    assert final_state_json(resumed) == final_state_json(scalar)
+    assert_solver_path(profiler, fast=True)
+    reference = run_full(fast=False)
+    assert final_state_json(resumed) == final_state_json(reference)
 
 
 # ----------------------------------------------------------------------
-# Audit-stream identity, vectorized vs scalar
+# Audit-stream identity, model array kernels vs scalar
 # ----------------------------------------------------------------------
-def _run_audited_vectorize(vectorize, cycles=6):
-    """The controller-loop harness from test_incremental_search, with
-    the vectorize knob threaded through controller *and* model."""
+def _run_audited_model_kernels(vector_model, cycles=6):
+    """The controller-loop harness from test_incremental_search on the
+    fast path, with the batch model on its array kernels
+    (``vectorize_min_jobs=0``) or its scalar reference (a floor above
+    the job count, so the controller tabulates specs itself)."""
     from repro.obs.audit import DecisionAudit
 
     scenario = Scenario(
@@ -175,26 +186,23 @@ def _run_audited_vectorize(vectorize, cycles=6):
         queue_window=16,
     )
     cluster = scenario.build_cluster()
+    jobs = scenario.build_jobs()
     queue = JobQueue()
     model = BatchWorkloadModel(
         queue,
         queue_window=scenario.queue_window,
-        vectorize=vectorize,
-        vectorize_min_jobs=0,
+        vectorize_min_jobs=0 if vector_model else len(jobs) + 1,
     )
     audit = DecisionAudit()
+    profiler = SpanProfiler()
     controller = ApplicationPlacementController(
         cluster,
-        APCConfig(
-            incremental=True,
-            vectorize=vectorize,
-            search_sweeps=3,
-            fast_path_min_nodes=0,
-        ),
+        APCConfig(search_sweeps=3, fast_path_min_nodes=0),
         audit=audit,
+        profiler=profiler,
     )
     state = PlacementState(cluster)
-    pending = sorted(scenario.build_jobs(), key=lambda j: j.submit_time)
+    pending = sorted(jobs, key=lambda j: j.submit_time)
     now, horizon = 0.0, 600.0
     matrices = []
     for _ in range(cycles):
@@ -204,16 +212,17 @@ def _run_audited_vectorize(vectorize, cycles=6):
         state = result.state
         matrices.append(state.as_matrix())
         now += horizon
+    assert_solver_path(profiler, fast=True)
     return matrices, audit
 
 
 def test_audit_stream_identical_across_vectorize():
     """The flight recorder sees the same decisions — candidates,
-    admission verdicts, RPF inputs — whether the kernels are numpy or
-    scalar.  Both runs are on the same (incremental) solver path, so
-    even the work-accounting fields must agree; nothing is scrubbed."""
-    m_vec, a_vec = _run_audited_vectorize(True)
-    m_scalar, a_scalar = _run_audited_vectorize(False)
+    admission verdicts, RPF inputs — whether the batch model's kernels
+    are numpy or scalar.  Both runs are on the same (fast) solver path,
+    so even the work-accounting fields must agree; nothing is scrubbed."""
+    m_vec, a_vec = _run_audited_model_kernels(True)
+    m_scalar, a_scalar = _run_audited_model_kernels(False)
     assert m_vec == m_scalar
     assert a_vec.records == a_scalar.records
 
