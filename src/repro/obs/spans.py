@@ -224,14 +224,20 @@ def render_profile(profiler: SpanProfiler, unit: str = "ms") -> str:
     aggregate = profiler.aggregate()
     if not aggregate:
         return "(no spans recorded)"
-    # Tree order: first occurrence order of each path.
-    seen: List[str] = []
+    # Tree order: each path directly under its parent, siblings in
+    # first-occurrence order ("" is the parent of the roots).
+    children: Dict[str, List[str]] = {"": []}
     for record in profiler.records:
-        if record.path not in seen:
-            seen.append(record.path)
+        if record.path not in children:
+            children[record.path] = []
+            parent = record.path.rpartition(SEP)[0]
+            children.setdefault(parent, []).append(record.path)
     header = f"{'span':<44} {'calls':>6} {'total':>12} {'mean':>12}"
     lines = [header, "-" * len(header)]
-    for path in seen:
+    stack = children[""][::-1]
+    while stack:
+        path = stack.pop()
+        stack.extend(children[path][::-1])
         stats = aggregate[path]
         depth = path.count(SEP)
         label = "  " * depth + path.rsplit(SEP, 1)[-1]

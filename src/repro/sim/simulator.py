@@ -28,7 +28,9 @@ from __future__ import annotations
 import dataclasses
 import time as _wallclock
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Collection, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro._compat import keyword_only
 
@@ -375,23 +377,19 @@ class MixedWorkloadSimulator:
                 break
             if kind == _ARRIVAL:
                 self._queue.submit(payload)
-                if self.trace is not None:
-                    self.trace.emit(
-                        now, TraceEventKind.ARRIVAL, payload.job_id,
-                        goal=round(payload.completion_goal, 1),
-                    )
-                if self.tracer is not None:
-                    payload.trace_id = self.tracer.job_arrival(
-                        now, payload.job_id,
-                        goal=round(payload.completion_goal, 1),
-                    )
+                trace_id = self._emit(
+                    now, TraceEventKind.ARRIVAL, payload.job_id,
+                    goal=round(payload.completion_goal, 1),
+                )
+                if trace_id is not None:
+                    payload.trace_id = trace_id
                 self._schedule_next_arrival(events, now)
             elif kind == _COMPLETION:
                 self._complete_job(payload, now)
             elif kind == _STAGE:
                 self._cross_stage_boundary(payload, now, events)
             elif kind == _FAIL:
-                self._fail_node(payload, now)
+                self._fail_node(payload, now, events)
             elif kind == _RESTORE:
                 self._restore_node(payload, now)
             elif kind == _RETRY:
@@ -715,27 +713,45 @@ class MixedWorkloadSimulator:
         self._speeds.pop(job_id, None)
         self._run_since.pop(job_id, None)
         self.metrics.record_completion(job)
+        self._emit(
+            now, TraceEventKind.COMPLETION, job_id,
+            met=job.met_deadline(),
+            distance=round(job.deadline_distance(), 1),
+        )
+        self._record_wait_profile(job_id)
+
+    def _emit(
+        self, now: float, kind: TraceEventKind, subject: str, **detail: object
+    ) -> Optional[str]:
+        """Record one job lifecycle transition on both observers: the
+        :class:`SimulationTrace` event first, then the job tracer's
+        record (``job_arrival`` / ``completion`` / ``directive``).
+
+        Returns the trace ID a traced arrival opens, else ``None``.  The
+        observers' methods are looked up on every call, so wrappers
+        installed on the instances after construction are honoured.
+        """
         if self.trace is not None:
-            self.trace.emit(
-                now, TraceEventKind.COMPLETION, job_id,
-                met=job.met_deadline(),
-                distance=round(job.deadline_distance(), 1),
-            )
-        if self.tracer is not None:
-            self.tracer.completion(
-                now, job_id,
-                met=job.met_deadline(),
-                distance=round(job.deadline_distance(), 1),
-            )
-            self._record_wait_profile(job_id)
+            self.trace.emit(now, kind, subject, **detail)
+        if self.tracer is None:
+            return None
+        if kind is TraceEventKind.ARRIVAL:
+            return self.tracer.job_arrival(now, subject, **detail)
+        if kind is TraceEventKind.COMPLETION:
+            self.tracer.completion(now, subject, **detail)
+        else:
+            self.tracer.directive(now, subject, kind.value, **detail)
+        return None
 
     def _record_wait_profile(self, job_id: str) -> None:
         """Feed the completed job's wait-time decomposition into the
-        metrics recorder.  Skipped (never fatal) when the tracer's
-        capacity bound evicted part of the job's chain."""
-        from repro.errors import ConfigurationError
+        metrics recorder.  Skipped (never fatal) without a tracer, or
+        when the tracer's capacity bound evicted part of the job's
+        chain."""
         from repro.obs.tracing import critical_path
 
+        if self.tracer is None:
+            return
         try:
             path = critical_path(self.tracer.history_of(job_id))
         except ConfigurationError:
@@ -753,7 +769,9 @@ class MixedWorkloadSimulator:
             job.advance(speed * dt)
             self._run_since[job.job_id] = now
 
-    def _fail_node(self, failure: NodeFailure, now: float) -> None:
+    def _fail_node(
+        self, failure: NodeFailure, now: float, events: EventQueue
+    ) -> None:
         """Take a node down: evict its placements and requeue its jobs.
 
         Evictions happen *before* the node is marked unavailable — the
@@ -771,24 +789,15 @@ class MixedWorkloadSimulator:
             count = self._state.instances(app_id).get(failure.node, 0)
             if count:
                 self._state.remove(app_id, failure.node, count)
-            if app_id not in self._queue:
-                continue  # transactional instance: re-placed next cycle
-            job = self._queue.job(app_id)
-            if not job.is_incomplete:
-                continue
-            still_placed = bool(self._state.nodes_of(app_id))
-            if still_placed:
+            job = self._queued_job(app_id)
+            if job is None or not job.is_incomplete:
+                continue  # transactional instance (re-placed next cycle) or done
+            if self._state.nodes_of(app_id):
                 # A parallel job survives on its remaining instances at a
-                # proportionally reduced speed until the next cycle.
+                # proportionally reduced speed until the next cycle; its
+                # in-cycle progress event moves to the new speed.
                 self._advance_job(job, now)
-                remaining_speed = min(
-                    self._state.cpu_of(app_id), job.max_speed
-                )
-                if remaining_speed > EPSILON:
-                    self._speeds[app_id] = remaining_speed
-                    self._run_since[app_id] = now
-                else:
-                    self._speeds.pop(app_id, None)
+                self._run_from(job, now, events)
                 continue
             if job.status is JobStatus.RUNNING:
                 self._advance_job(job, now)
@@ -878,14 +887,7 @@ class MixedWorkloadSimulator:
         if job.status is not JobStatus.RUNNING:
             return  # reconfigured away before the boundary
         self._advance_job(job, now)
-        allocated = self._state.cpu_of(job.job_id)
-        speed = min(allocated, job.max_speed)
-        if speed <= EPSILON:
-            self._speeds.pop(job.job_id, None)
-            return
-        self._speeds[job.job_id] = speed
-        self._run_since[job.job_id] = now
-        self._schedule_progress(job, now, events)
+        self._run_from(job, now, events)
 
     def _span(self, name: str, **attrs: object):
         """A profiler span, or the shared no-op when un-instrumented."""
@@ -917,13 +919,9 @@ class MixedWorkloadSimulator:
         #    fault model active, each action may fail or stall; the
         #    *effective* state patches failures out of the desired one.
         prev_matrix = self._state.as_matrix()
-        if self._reconciler is not None:
-            changes, delays, moved_mb, effective = self._apply_placement_fallible(
-                new_state, now, events
-            )
-        else:
-            changes, delays, moved_mb = self._apply_placement(new_state, now)
-            effective = new_state
+        changes, delays, moved_mb, effective = self._apply_placement(
+            new_state, now, events
+        )
         changes += self._deferred_changes
         self._deferred_changes = 0
         moved_mb += self._deferred_moved_mb
@@ -978,127 +976,200 @@ class MixedWorkloadSimulator:
     # Placement application
     # ------------------------------------------------------------------
     def _apply_placement(
-        self, new_state: PlacementState, now: float
-    ) -> Tuple[int, Dict[str, float], float]:
-        """Classify per-job placement changes and update job state.
+        self, new_state: PlacementState, now: float, events: EventQueue
+    ) -> Tuple[int, Dict[str, float], float, PlacementState]:
+        """Turn the placement diff into VM actions and apply them.
 
         Returns ``(change_count, per-job execution delays, migrated
-        memory MB)``.  Change semantics (and Figure 4's counting):
-
-        * queued job placed            -> BOOT (not a "change")
-        * running job unplaced         -> SUSPEND (1 change)
-        * suspended job, same node     -> RESUME (1 change)
-        * suspended job, other node    -> migrate + resume (1 change)
-        * running job, other node      -> live MIGRATE (1 change)
+        memory MB, effective state)``.  Each job's action comes from
+        :meth:`_classify`.  Without a fault model every action commits
+        at once and the effective state *is* ``new_state``.  With one,
+        the reconciler decides per attempt whether the action commits,
+        stalls or fails; the effective state starts as a copy of the
+        desired one and every failed action is patched out of it — the
+        instance goes back exactly where it was, so capacity is never
+        double-counted and the next cycle plans from what the cluster
+        actually looks like.
         """
-        costs = self._config.cost_model
+        rec = self._reconciler
+        actual = new_state if rec is None else new_state.copy()
         changes = 0
         moved_mb = 0.0
         delays: Dict[str, float] = {}
         for job in self._queue.incomplete():
             old_set = set(self._state.nodes_of(job.job_id))
             new_set = set(new_state.nodes_of(job.job_id))
-
-            if not new_set:
-                if job.status is JobStatus.RUNNING:
-                    job.status = JobStatus.SUSPENDED
-                    job.suspend_count += 1
-                    changes += 1
-                    self._speeds.pop(job.job_id, None)
-                    self._run_since.pop(job.job_id, None)
-                    # job.node keeps the suspension node for resume/migrate
-                    # classification next time it is placed.
-                    if self.trace is not None:
-                        self.trace.emit(
-                            now, TraceEventKind.SUSPEND, job.job_id,
-                            node=job.node,
-                        )
-                    if self.tracer is not None:
-                        self.tracer.directive(
-                            now, job.job_id, "suspend", node=job.node
-                        )
+            classified = self._classify(job, old_set, new_set)
+            if classified is None:
+                # Pure growth or no-op: dispatch, never an action.
+                if job.status is JobStatus.RUNNING and job.node not in new_set:
+                    job.node = min(new_set)
                 continue
-
-            primary = sorted(new_set)[0]
-            if job.status is JobStatus.NOT_STARTED:
-                job.status = JobStatus.RUNNING
-                job.start_time = now
-                job.node = primary
-                delays[job.job_id] = costs.boot_cost(job.memory_mb)
-                if self.trace is not None:
-                    self.trace.emit(
-                        now, TraceEventKind.BOOT, job.job_id, node=primary,
-                        delay=round(delays[job.job_id], 2),
+            action, delay = classified
+            if rec is not None:
+                pending = PendingAction(
+                    action=action,
+                    app_id=job.job_id,
+                    dest_nodes={
+                        n: new_state.instances(job.job_id).get(n, 0)
+                        for n in new_set
+                    },
+                    dest_cpu={n: new_state.cpu_on(job.job_id, n) for n in new_set},
+                    prior_nodes={
+                        n: self._state.instances(job.job_id).get(n, 0)
+                        for n in old_set
+                    },
+                    prior_cpu={
+                        n: self._state.cpu_on(job.job_id, n) for n in old_set
+                    },
+                    prior_status=job.status,
+                    prior_node_attr=job.node,
+                    memory_mb=job.memory_mb,
+                    base_delay=delay,
+                    issued_at=now,
+                )
+                directive = rec.attempt(pending, now)
+                if directive.decision is Decision.STALL:
+                    self._begin_stall(pending, job, directive, now, events)
+                    continue
+                if directive.decision is not Decision.COMMIT:
+                    # Failed outright: the instance stays where it was.
+                    self._emit_fault(
+                        TraceEventKind.ACTION_FAILED, pending, now, reason="fault"
                     )
-                if self.tracer is not None:
-                    self.tracer.directive(
-                        now, job.job_id, "boot", node=primary,
-                        delay=round(delays[job.job_id], 2),
-                    )
-            elif job.status is JobStatus.SUSPENDED:
-                if job.node in new_set:
-                    job.resume_count += 1
-                    delays[job.job_id] = costs.resume_cost(job.memory_mb)
-                    if self.trace is not None:
-                        self.trace.emit(
-                            now, TraceEventKind.RESUME, job.job_id,
-                            node=job.node,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                    if self.tracer is not None:
-                        self.tracer.directive(
-                            now, job.job_id, "resume", node=job.node,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                else:
-                    job.migration_count += 1
-                    moved_mb += job.memory_mb
-                    delays[job.job_id] = costs.migrate_cost(
-                        job.memory_mb
-                    ) + costs.resume_cost(job.memory_mb)
-                    if self.trace is not None:
-                        self.trace.emit(
-                            now, TraceEventKind.MIGRATE, job.job_id,
-                            source=job.node, node=primary,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                    if self.tracer is not None:
-                        self.tracer.directive(
-                            now, job.job_id, "migrate",
-                            source=job.node, node=primary,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                job.status = JobStatus.RUNNING
-                job.node = primary if job.node not in new_set else job.node
+                    if not self._revert_in(actual, job, pending, now):
+                        changes += 1  # degraded to a forced suspension
+                    self._dispatch_followup(pending, directive, now, events)
+                    continue
+                delay += directive.extra_delay
+            self._commit_transition(job, action, old_set, new_set, now, delay, delays)
+            if action in CHANGE_ACTIONS:
                 changes += 1
-            elif job.status is JobStatus.RUNNING:
-                if old_set and old_set - new_set:
-                    # Losing nodes means (at least part of) the job moved:
-                    # a live migration.  Pure growth (new instances of a
-                    # parallel job booting on extra nodes) is dispatch,
-                    # not reconfiguration churn.
-                    job.migration_count += 1
-                    moved_mb += job.memory_mb
-                    delays[job.job_id] = costs.migrate_cost(job.memory_mb)
-                    changes += 1
-                    if self.trace is not None:
-                        self.trace.emit(
-                            now, TraceEventKind.MIGRATE, job.job_id,
-                            source=sorted(old_set)[0], node=primary,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                    if self.tracer is not None:
-                        self.tracer.directive(
-                            now, job.job_id, "migrate",
-                            source=sorted(old_set)[0], node=primary,
-                            delay=round(delays[job.job_id], 2),
-                        )
-                if job.node not in new_set:
-                    job.node = primary
-        return changes, delays, moved_mb
+            if action is ActionType.MIGRATE:
+                moved_mb += job.memory_mb
+        return changes, delays, moved_mb, actual
+
+    def _classify(
+        self, job: Job, old_nodes: set, new_nodes: set
+    ) -> Optional[Tuple[ActionType, float]]:
+        """The VM action moving ``job`` from ``old_nodes`` to
+        ``new_nodes``, with its base duration from the cost model, or
+        ``None`` when no action is needed.
+
+        Change semantics (and Figure 4's counting):
+
+        * queued job placed            -> BOOT (not a "change")
+        * running job unplaced         -> SUSPEND (1 change)
+        * suspended job, same node     -> RESUME (1 change)
+        * suspended job, other node    -> migrate + resume (1 change)
+        * running job, lost a node     -> live MIGRATE (1 change)
+        * running job, only new nodes  -> ``None``: growth of a parallel
+          job is dispatch, not reconfiguration churn
+        """
+        costs = self._config.cost_model
+        memory = job.memory_mb
+        status = job.status
+        if not new_nodes:
+            if status is JobStatus.RUNNING:
+                return ActionType.SUSPEND, costs.suspend_cost(memory)
+            return None
+        if status is JobStatus.NOT_STARTED:
+            return ActionType.BOOT, costs.boot_cost(memory)
+        if status is JobStatus.SUSPENDED:
+            if job.node in new_nodes:
+                return ActionType.RESUME, costs.resume_cost(memory)
+            return (
+                ActionType.MIGRATE,
+                costs.migrate_cost(memory) + costs.resume_cost(memory),
+            )
+        if status is JobStatus.RUNNING and old_nodes - new_nodes:
+            return ActionType.MIGRATE, costs.migrate_cost(memory)
+        return None
+
+    def _commit_transition(
+        self,
+        job: Job,
+        action: ActionType,
+        source_nodes: Collection[str],
+        dest_nodes: Collection[str],
+        now: float,
+        delay: float,
+        delays: Dict[str, float],
+    ) -> None:
+        """Apply the job-state effects of a committed action (the
+        placement itself is already in the target state) and record the
+        transition.  ``delay`` holds back the job's execution within the
+        cycle; ``job.status`` is still the pre-action status."""
+        job_id = job.job_id
+        if action is ActionType.SUSPEND:
+            job.status = JobStatus.SUSPENDED
+            job.suspend_count += 1
+            self._stop_running(job_id)
+            # job.node keeps the suspension node for resume/migrate
+            # classification next time it is placed.
+            self._emit(now, TraceEventKind.SUSPEND, job_id, node=job.node)
+            return
+        primary = min(dest_nodes)
+        delays[job_id] = delay
+        if action is ActionType.BOOT:
+            job.status = JobStatus.RUNNING
+            job.start_time = now
+            job.node = primary
+            self._emit(
+                now, TraceEventKind.BOOT, job_id, node=primary,
+                delay=round(delay, 2),
+            )
+        elif action is ActionType.RESUME:
+            job.resume_count += 1
+            job.status = JobStatus.RUNNING
+            self._emit(
+                now, TraceEventKind.RESUME, job_id, node=job.node,
+                delay=round(delay, 2),
+            )
+        elif job.status is JobStatus.SUSPENDED:
+            # Migrate + resume of a suspended instance.
+            job.migration_count += 1
+            job.status = JobStatus.RUNNING
+            self._emit(
+                now, TraceEventKind.MIGRATE, job_id,
+                source=job.node, node=primary, delay=round(delay, 2),
+            )
+            job.node = primary
+        else:
+            # Live migration of a running instance.
+            job.migration_count += 1
+            self._emit(
+                now, TraceEventKind.MIGRATE, job_id,
+                source=min(source_nodes), node=primary, delay=round(delay, 2),
+            )
+            if job.node not in dest_nodes:
+                job.node = primary
+
+    def _stop_running(self, job_id: str) -> None:
+        """The job stops executing: no speed, no pending progress event."""
+        self._speeds.pop(job_id, None)
+        self._run_since.pop(job_id, None)
+        self._cancel_progress(job_id)
+
+    def _run_from(self, job: Job, start: float, events: EventQueue) -> None:
+        """Execute ``job`` from ``start`` at its allocation in the live
+        state (capped by the stage's maximum speed) and schedule its next
+        progress event; a job left without usable CPU stops."""
+        speed = min(self._state.cpu_of(job.job_id), job.max_speed)
+        if speed <= EPSILON:
+            self._stop_running(job.job_id)
+            return
+        self._speeds[job.job_id] = speed
+        self._run_since[job.job_id] = start
+        self._schedule_progress(job, start, events)
+
+    def _queued_job(self, app_id: str) -> Optional[Job]:
+        """The queue's job ``app_id``; ``None`` for a transactional app or
+        a job already pruned."""
+        return self._queue.job(app_id) if app_id in self._queue else None
 
     # ------------------------------------------------------------------
-    # Fallible placement application (fault-injection extension)
+    # Fallible placement actions (fault-injection extension)
     # ------------------------------------------------------------------
     def _frozen_apps(self) -> set:
         """Apps frozen mid-action by a stalled attempt (no execution)."""
@@ -1110,181 +1181,52 @@ class MixedWorkloadSimulator:
             if pending.holding
         }
 
-    def _apply_placement_fallible(
-        self, new_state: PlacementState, now: float, events: EventQueue
-    ) -> Tuple[int, Dict[str, float], float, PlacementState]:
-        """Like :meth:`_apply_placement`, but every action attempt is
-        sampled against the fault model.
-
-        Returns ``(change_count, per-job delays, migrated memory MB,
-        effective state)``.  The
-        effective state starts as a copy of the desired one and is
-        patched for every failed action: the instance goes back exactly
-        where it was, so capacity is never double-counted and the next
-        cycle's policy plans from what the cluster actually looks like.
-        """
-        costs = self._config.cost_model
-        changes = 0
-        moved_mb = 0.0
-        delays: Dict[str, float] = {}
-        actual = new_state.copy()
-        for job in self._queue.incomplete():
-            old_set = set(self._state.nodes_of(job.job_id))
-            new_set = set(new_state.nodes_of(job.job_id))
-
-            # Classification mirrors _apply_placement exactly.
-            if not new_set:
-                if job.status is not JobStatus.RUNNING:
-                    continue
-                action = ActionType.SUSPEND
-                base = costs.suspend_cost(job.memory_mb)
-            elif job.status is JobStatus.NOT_STARTED:
-                action = ActionType.BOOT
-                base = costs.boot_cost(job.memory_mb)
-            elif job.status is JobStatus.SUSPENDED:
-                if job.node in new_set:
-                    action = ActionType.RESUME
-                    base = costs.resume_cost(job.memory_mb)
-                else:
-                    action = ActionType.MIGRATE
-                    base = costs.migrate_cost(job.memory_mb) + costs.resume_cost(
-                        job.memory_mb
-                    )
-            elif job.status is JobStatus.RUNNING and old_set and old_set - new_set:
-                action = ActionType.MIGRATE
-                base = costs.migrate_cost(job.memory_mb)
-            else:
-                # Pure growth (or no-op): dispatch, never a fallible action.
-                if new_set and job.node not in new_set:
-                    job.node = sorted(new_set)[0]
-                continue
-
-            pending = PendingAction(
-                action=action,
-                app_id=job.job_id,
-                dest_nodes={
-                    n: new_state.instances(job.job_id).get(n, 0) for n in new_set
-                },
-                dest_cpu={n: new_state.cpu_on(job.job_id, n) for n in new_set},
-                prior_nodes={
-                    n: self._state.instances(job.job_id).get(n, 0) for n in old_set
-                },
-                prior_cpu={n: self._state.cpu_on(job.job_id, n) for n in old_set},
-                prior_status=job.status,
-                prior_node_attr=job.node,
-                memory_mb=job.memory_mb,
-                base_delay=base,
-                issued_at=now,
-            )
-            directive = self._reconciler.attempt(pending, now)
-            if directive.decision is Decision.COMMIT:
-                self._commit_transition(
-                    job, pending, now, pending.base_delay + directive.extra_delay,
-                    delays,
-                )
-                if action in CHANGE_ACTIONS:
-                    changes += 1
-                if action is ActionType.MIGRATE:
-                    moved_mb += job.memory_mb
-            elif directive.decision is Decision.STALL:
-                self._begin_stall(pending, job, directive, now, events)
-            else:
-                # Failed outright: the instance stays where it was.
-                self._emit_fault(
-                    TraceEventKind.ACTION_FAILED, pending, now, reason="fault"
-                )
-                if not self._revert_in(actual, job, pending, now):
-                    changes += 1  # degraded to a forced suspension
-                self._dispatch_followup(pending, directive, now, events)
-        return changes, delays, moved_mb, actual
-
-    def _commit_transition(
+    def _move_instances(
         self,
-        job: Job,
-        pending: PendingAction,
-        now: float,
-        delay: float,
-        delays: Dict[str, float],
+        state: PlacementState,
+        app_id: str,
+        memory_mb: float,
+        release: Mapping[str, int],
+        claim: Mapping[str, int],
+        role: str,
     ) -> None:
-        """Apply the job-state effects of a successfully committed action
-        (the placement itself is already in the target state)."""
-        action = pending.action
-        if action is ActionType.SUSPEND:
-            job.status = JobStatus.SUSPENDED
-            job.suspend_count += 1
-            self._speeds.pop(job.job_id, None)
-            self._run_since.pop(job.job_id, None)
-            self._cancel_progress(job.job_id)
-            if self.trace is not None:
-                self.trace.emit(
-                    now, TraceEventKind.SUSPEND, job.job_id, node=job.node
-                )
-            if self.tracer is not None:
-                self.tracer.directive(now, job.job_id, "suspend", node=job.node)
-            return
-        primary = pending.primary_node
-        delays[job.job_id] = delay
-        if action is ActionType.BOOT:
-            job.status = JobStatus.RUNNING
-            job.start_time = now
-            job.node = primary
-            if self.trace is not None:
-                self.trace.emit(
-                    now, TraceEventKind.BOOT, job.job_id, node=primary,
-                    delay=round(delay, 2),
-                )
-            if self.tracer is not None:
-                self.tracer.directive(
-                    now, job.job_id, "boot", node=primary, delay=round(delay, 2)
-                )
-        elif action is ActionType.RESUME:
-            job.resume_count += 1
-            job.status = JobStatus.RUNNING
-            if self.trace is not None:
-                self.trace.emit(
-                    now, TraceEventKind.RESUME, job.job_id, node=job.node,
-                    delay=round(delay, 2),
-                )
-            if self.tracer is not None:
-                self.tracer.directive(
-                    now, job.job_id, "resume", node=job.node,
-                    delay=round(delay, 2),
-                )
-        elif pending.prior_status is JobStatus.SUSPENDED:
-            # Migrate + resume of a suspended instance.
-            job.migration_count += 1
-            job.status = JobStatus.RUNNING
-            if self.trace is not None:
-                self.trace.emit(
-                    now, TraceEventKind.MIGRATE, job.job_id,
-                    source=job.node, node=primary, delay=round(delay, 2),
-                )
-            if self.tracer is not None:
-                self.tracer.directive(
-                    now, job.job_id, "migrate",
-                    source=job.node, node=primary, delay=round(delay, 2),
-                )
-            job.node = primary
-        else:
-            # Live migration of a running instance.
-            job.migration_count += 1
-            if self.trace is not None or self.tracer is not None:
-                source = (
-                    sorted(pending.prior_nodes)[0]
-                    if pending.prior_nodes else job.node
-                )
-                if self.trace is not None:
-                    self.trace.emit(
-                        now, TraceEventKind.MIGRATE, job.job_id,
-                        source=source, node=primary, delay=round(delay, 2),
-                    )
-                if self.tracer is not None:
-                    self.tracer.directive(
-                        now, job.job_id, "migrate",
-                        source=source, node=primary, delay=round(delay, 2),
-                    )
-            if job.node not in pending.dest_nodes:
-                job.node = primary
+        """Release ``release``'s instances of ``app_id`` in ``state``,
+        then place ``claim``'s.
+
+        A claim on a down or full node rolls back whatever part of the
+        claim was placed and re-raises; the released instances stay
+        released.  ``role`` names the claimed side in the error.
+        """
+        for node in sorted(release):
+            have = state.instances(app_id).get(node, 0)
+            if have:
+                state.remove(app_id, node, min(have, release[node]))
+        placed = []
+        try:
+            for node in sorted(claim):
+                count = claim[node]
+                if count <= 0:
+                    continue
+                if not self._cluster.node(node).available:
+                    raise CapacityError(f"{role} node {node} is down")
+                state.place(app_id, node, memory_mb, count)
+                placed.append((node, count))
+        except (CapacityError, PlacementError):
+            for node, count in placed:
+                state.remove(app_id, node, count)
+            raise
+
+    @staticmethod
+    def _grant_cpu(
+        state: PlacementState, app_id: str, shares: Mapping[str, float]
+    ) -> None:
+        """Grant ``app_id`` each node's CPU share, capped by what is free
+        there."""
+        for node in sorted(shares):
+            cpu = shares[node]
+            if cpu > EPSILON:
+                grant = min(cpu, state.cpu_available(node) + state.cpu_on(app_id, node))
+                state.set_cpu(app_id, node, grant)
 
     def _revert_in(
         self,
@@ -1302,46 +1244,22 @@ class MixedWorkloadSimulator:
         instead — progress is kept, and the next cycle re-plans it.
         """
         app_id = job.job_id
-        for node in sorted(pending.dest_nodes):
-            have = state.instances(app_id).get(node, 0)
-            if have:
-                state.remove(app_id, node, min(have, pending.dest_nodes[node]))
-        placed = []
         try:
-            for node in sorted(pending.prior_nodes):
-                count = pending.prior_nodes[node]
-                if count <= 0:
-                    continue
-                if not self._cluster.node(node).available:
-                    raise CapacityError(f"fallback node {node} is down")
-                state.place(app_id, node, pending.memory_mb, count)
-                placed.append((node, count))
+            self._move_instances(
+                state, app_id, pending.memory_mb,
+                pending.dest_nodes, pending.prior_nodes, "fallback",
+            )
         except (CapacityError, PlacementError):
-            for node, count in placed:
-                state.remove(app_id, node, count)
             if pending.prior_status is JobStatus.RUNNING:
                 job.status = JobStatus.SUSPENDED
                 job.suspend_count += 1
-                self._speeds.pop(app_id, None)
-                self._run_since.pop(app_id, None)
-                self._cancel_progress(app_id)
-                if self.trace is not None:
-                    self.trace.emit(
-                        now, TraceEventKind.SUSPEND, app_id,
-                        node=pending.prior_node_attr, reason="fallback-lost",
-                    )
-                if self.tracer is not None:
-                    self.tracer.directive(
-                        now, app_id, "suspend",
-                        node=pending.prior_node_attr, reason="fallback-lost",
-                    )
+                self._stop_running(app_id)
+                self._emit(
+                    now, TraceEventKind.SUSPEND, app_id,
+                    node=pending.prior_node_attr, reason="fallback-lost",
+                )
             return False
-        for node in sorted(pending.prior_cpu):
-            cpu = pending.prior_cpu[node]
-            if cpu <= EPSILON:
-                continue
-            grant = min(cpu, state.cpu_available(node) + state.cpu_on(app_id, node))
-            state.set_cpu(app_id, node, grant)
+        self._grant_cpu(state, app_id, pending.prior_cpu)
         return True
 
     def _begin_stall(
@@ -1356,9 +1274,7 @@ class MixedWorkloadSimulator:
         resources stay claimed, the instance is frozen (it neither
         executes nor fails) until the stall timeout fires."""
         pending.holding = True
-        self._speeds.pop(job.job_id, None)
-        self._run_since.pop(job.job_id, None)
-        self._cancel_progress(job.job_id)
+        self._stop_running(job.job_id)
         pending.event_handle = events.schedule(
             directive.at, (_STALL_TIMEOUT, pending), priority=PRIORITY_ARRIVAL
         )
@@ -1386,24 +1302,32 @@ class MixedWorkloadSimulator:
         else:
             self._emit_fault(TraceEventKind.ACTION_ABANDONED, pending, now)
 
+    def _timer_job(self, pending: PendingAction, now: float) -> Optional[Job]:
+        """The job a fired retry or stall timer acts on, or ``None`` when
+        the timer is stale.
+
+        A timer is stale when a newer control cycle superseded its
+        action, or when the world changed under it (completion, node
+        outage, ...) — the action is then superseded here.
+        """
+        rec = self._reconciler
+        if rec is None or rec.pending.get(pending.app_id) is not pending:
+            return None  # superseded by a newer control cycle
+        pending.event_handle = None
+        job = self._queued_job(pending.app_id)
+        if job is None or job.status is not pending.prior_status:
+            rec.supersede(pending, now)
+            return None
+        return job
+
     def _retry_pending(
         self, pending: PendingAction, now: float, events: EventQueue
     ) -> None:
         """A scheduled retry fired: re-attempt the action mid-cycle."""
-        rec = self._reconciler
-        if rec is None or rec.pending.get(pending.app_id) is not pending:
-            return  # superseded by a newer control cycle
-        pending.event_handle = None
-        job = (
-            self._queue.job(pending.app_id)
-            if pending.app_id in self._queue else None
-        )
-        if job is None or job.status is not pending.prior_status:
-            # The world changed under us (completion, node outage, ...):
-            # the retry no longer applies.
-            rec.supersede(pending, now)
+        job = self._timer_job(pending, now)
+        if job is None:
             return
-        directive = rec.attempt(pending, now)
+        directive = self._reconciler.attempt(pending, now)
         if directive.decision is Decision.COMMIT:
             self._commit_retry(pending, job, directive.extra_delay, now, events)
         elif directive.decision is Decision.STALL:
@@ -1437,24 +1361,15 @@ class MixedWorkloadSimulator:
         self._advance_job(job, now)  # credit progress made on the fallback
         delays: Dict[str, float] = {}
         self._commit_transition(
-            job, pending, now, pending.base_delay + extra_delay, delays
+            job, pending.action, pending.prior_nodes, pending.dest_nodes,
+            now, pending.base_delay + extra_delay, delays,
         )
         if pending.action in CHANGE_ACTIONS:
             self._deferred_changes += 1
         if pending.action is ActionType.MIGRATE:
             self._deferred_moved_mb += pending.memory_mb
-        if job.status is not JobStatus.RUNNING:
-            return  # committed suspend: nothing left to schedule
-        speed = min(self._state.cpu_of(job.job_id), job.max_speed)
-        if speed <= EPSILON:
-            self._speeds.pop(job.job_id, None)
-            self._run_since.pop(job.job_id, None)
-            self._cancel_progress(job.job_id)
-            return
-        start = now + delays.get(job.job_id, 0.0)
-        self._speeds[job.job_id] = speed
-        self._run_since[job.job_id] = start
-        self._schedule_progress(job, start, events)
+        if job.status is JobStatus.RUNNING:
+            self._run_from(job, now + delays.get(job.job_id, 0.0), events)
 
     def _claim_destination(self, pending: PendingAction, job: Job) -> None:
         """Move the instance from its fallback to the action's destination
@@ -1466,46 +1381,23 @@ class MixedWorkloadSimulator:
         """
         app_id = job.job_id
         state = self._state
-        for node in sorted(pending.prior_nodes):
-            have = state.instances(app_id).get(node, 0)
-            if have:
-                state.remove(app_id, node, min(have, pending.prior_nodes[node]))
-        placed = []
         try:
-            for node in sorted(pending.dest_nodes):
-                count = pending.dest_nodes[node]
-                if count <= 0:
-                    continue
-                if not self._cluster.node(node).available:
-                    raise CapacityError(f"destination node {node} is down")
-                state.place(app_id, node, pending.memory_mb, count)
-                placed.append((node, count))
+            self._move_instances(
+                state, app_id, pending.memory_mb,
+                pending.prior_nodes, pending.dest_nodes, "destination",
+            )
         except (CapacityError, PlacementError) as exc:
-            for node, count in placed:
-                state.remove(app_id, node, count)
             # Re-place the fallback we just released; it must fit because
             # we freed exactly those slots a moment ago.
             for node in sorted(pending.prior_nodes):
                 count = pending.prior_nodes[node]
                 if count > 0:
                     state.place(app_id, node, pending.memory_mb, count)
-            for node in sorted(pending.prior_cpu):
-                cpu = pending.prior_cpu[node]
-                if cpu > EPSILON:
-                    grant = min(
-                        cpu,
-                        state.cpu_available(node) + state.cpu_on(app_id, node),
-                    )
-                    state.set_cpu(app_id, node, grant)
+            self._grant_cpu(state, app_id, pending.prior_cpu)
             raise ActionFailedError(
                 pending.action_name, app_id, pending.target_node, str(exc)
             ) from exc
-        for node in sorted(pending.dest_cpu):
-            cpu = pending.dest_cpu[node]
-            if cpu <= EPSILON:
-                continue
-            grant = min(cpu, state.cpu_available(node) + state.cpu_on(app_id, node))
-            state.set_cpu(app_id, node, grant)
+        self._grant_cpu(state, app_id, pending.dest_cpu)
 
     def _destination_lost(
         self,
@@ -1528,30 +1420,18 @@ class MixedWorkloadSimulator:
     ) -> None:
         """A stalled action exceeded the timeout: release the destination,
         put the instance back, and retry or abandon."""
-        rec = self._reconciler
-        if rec is None or rec.pending.get(pending.app_id) is not pending:
-            return  # superseded by a newer control cycle
-        pending.event_handle = None
-        pending.holding = False
-        job = (
-            self._queue.job(pending.app_id)
-            if pending.app_id in self._queue else None
-        )
-        if job is None or job.status is not pending.prior_status:
-            rec.supersede(pending, now)
+        job = self._timer_job(pending, now)
+        if job is None:
             return
-        directive = rec.on_stall_timeout(pending, now)
+        pending.holding = False
+        directive = self._reconciler.on_stall_timeout(pending, now)
         self._emit_fault(
             TraceEventKind.ACTION_FAILED, pending, now, reason="stall-timeout"
         )
         reverted = self._revert_in(self._state, job, pending, now)
         if reverted and job.status is JobStatus.RUNNING:
             # Resume execution on the fallback nodes while waiting.
-            speed = min(self._state.cpu_of(job.job_id), job.max_speed)
-            if speed > EPSILON:
-                self._speeds[job.job_id] = speed
-                self._run_since[job.job_id] = now
-                self._schedule_progress(job, now, events)
+            self._run_from(job, now, events)
         self._dispatch_followup(pending, directive, now, events)
 
     def _resolve_in_flight(self, now: float) -> None:
@@ -1567,10 +1447,7 @@ class MixedWorkloadSimulator:
                 pending.event_handle = None
             if pending.holding:
                 pending.holding = False
-                job = (
-                    self._queue.job(pending.app_id)
-                    if pending.app_id in self._queue else None
-                )
+                job = self._queued_job(pending.app_id)
                 if job is not None and job.status is pending.prior_status:
                     self._revert_in(self._state, job, pending, now)
             rec.supersede(pending, now)

@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.batch.job import JobStatus
+from repro.batch.job import Job, JobProfile, JobStatus
 from repro.batch.model import BatchWorkloadModel
 from repro.batch.queue import JobQueue
 from repro.cluster import Cluster
 from repro.core.apc import APCConfig, ApplicationPlacementController
+from repro.core.placement import PlacementState
 from repro.errors import ConfigurationError, SimulationError
-from repro.policies import APCPolicy, EDFPolicy, FCFSPolicy, PartitionedPolicy
+from repro.policies import (
+    APCPolicy,
+    EDFPolicy,
+    FCFSPolicy,
+    PartitionedPolicy,
+    ScriptedPolicy,
+)
 from repro.sim.simulator import (
     MixedWorkloadSimulator,
     NodeFailure,
@@ -136,6 +143,57 @@ class TestCrashSemantics:
         assert cluster.total_cpu_capacity == 1000.0
         node.available = True
         assert node.cpu_capacity == 1000.0
+
+
+class TestParallelJobLosesANode:
+    """A parallel job that loses one of its nodes mid-cycle keeps running
+    on the rest at the reduced speed; its in-cycle completion must move
+    with the speed."""
+
+    def run_two_way(self, failures, work=1.8e6):
+        cluster = Cluster.homogeneous(2, cpu_capacity=1000, memory_capacity=2000)
+        job = Job.with_goal_factor(
+            job_id="p",
+            profile=JobProfile.single_stage(
+                work_mcycles=work, max_speed_mhz=1000.0, memory_mb=750.0
+            ),
+            submit_time=0.0,
+            goal_factor=5.0,
+            parallelism=2,
+        )
+
+        def both_nodes(current, now):
+            state = PlacementState(current.cluster)
+            for node in ("node0", "node1"):
+                state.place("p", node, 750.0)
+                state.set_cpu("p", node, 1000.0)
+            return state
+
+        queue = JobQueue()
+        sim = MixedWorkloadSimulator(
+            cluster, ScriptedPolicy([both_nodes]), queue, arrivals=[job],
+            config=SimulationConfig(
+                cycle_length=1000.0, cost_model=FREE_COST_MODEL,
+                failures=failures,
+            ),
+        )
+        metrics = sim.run()
+        assert len(metrics.completions) == 1
+        return metrics.completions[0].completion_time
+
+    def test_completion_moves_to_the_reduced_speed(self):
+        assert self.run_two_way([]) == pytest.approx(900.0)
+        # 100 s at 2000 MHz, then 1600 s at 1000 MHz: the remaining
+        # 1.6e6 Mcycles no longer fit the cycle, so the t=1000 cycle
+        # keeps the job on node0 and it completes at 1700 s.
+        failure = NodeFailure("node1", fail_time=100.0, lose_progress=False)
+        assert self.run_two_way([failure]) == pytest.approx(1700.0)
+
+    def test_completion_inside_the_cycle_is_rescheduled(self):
+        # 1.0e6 Mcycles: 0.2e6 by t=100, the remaining 0.8e6 at 1000 MHz
+        # still completes inside the first cycle, at 900 s, not 550 s.
+        failure = NodeFailure("node1", fail_time=100.0, lose_progress=False)
+        assert self.run_two_way([failure], work=1.0e6) == pytest.approx(900.0)
 
 
 class TestOverlappingOutageWindows:

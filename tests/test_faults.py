@@ -1,6 +1,7 @@
 """Tests for the fallible-actuator extension: fault injection, the
 retry/backoff reconciliation loop, and failure accounting."""
 
+import json
 import random
 
 import pytest
@@ -12,6 +13,8 @@ from repro.core.apc import APCConfig, ApplicationPlacementController
 from repro.core.placement import PlacementState
 from repro.cluster import Cluster
 from repro.errors import ConfigurationError
+from repro.scenario import Scenario, Simulation
+from repro.sim.export import metrics_to_json
 from repro.sim.metrics import ActionFaultStats
 from repro.sim.monitoring import ActuatorHealthMonitor
 from repro.policies import APCPolicy, ScriptedPolicy
@@ -19,6 +22,7 @@ from repro.sim.reconcile import Decision, PendingAction, Reconciler
 from repro.sim.simulator import MixedWorkloadSimulator, SimulationConfig
 from repro.sim.trace import SimulationTrace, TraceEventKind
 from repro.virt.actions import ActionType
+from repro.virt.costs import FREE_COST_MODEL
 from repro.virt.faults import (
     ActionFaultModel,
     FaultOutcome,
@@ -488,19 +492,48 @@ class TestFaultModelStrictlyOptIn:
         )
         return sim.run(), trace
 
+    def run_experiment_two(self, fault_model):
+        """Experiment Two on 4 nodes: a run with boots, suspends, resumes
+        and migrations.  Returns the metrics and the run's trace, cycle
+        rows and completion rows, wall-clock timing masked."""
+        scenario = Scenario(
+            name="opt-in", nodes=4, workload="experiment2", job_count=80,
+            interarrival=20.0, seed=7,
+            sim=SimulationConfig(
+                cost_model=FREE_COST_MODEL, fault_model=fault_model
+            ),
+        )
+        trace = SimulationTrace()
+        metrics = Simulation.from_scenario(scenario, trace=trace).run()
+        document = json.loads(metrics_to_json(metrics))
+        cycles = [
+            {k: v for k, v in row.items() if k != "decision_seconds"}
+            for row in document["cycles"]
+        ]
+        return metrics, (normalized_trace(trace), cycles, document["completions"])
+
     def test_none_and_all_zero_model_are_byte_identical(self):
-        m_none, t_none = self.run_apc_scenario(None)
-        m_zero, t_zero = self.run_apc_scenario(ActionFaultModel.uniform(0.0))
-        assert normalized_trace(t_none) == normalized_trace(t_zero)
-        assert [(c.job_id, c.completion_time, c.migration_count)
-                for c in m_none.completions] == \
-               [(c.job_id, c.completion_time, c.migration_count)
-                for c in m_zero.completions]
-        assert len(m_none.cycles) == len(m_zero.cycles)
-        for a, b in zip(m_none.cycles, m_zero.cycles):
-            assert a.placement_changes == b.placement_changes
+        m_none, run_none = self.run_experiment_two(None)
+        m_zero, run_zero = self.run_experiment_two(ActionFaultModel.uniform(0.0))
+        # Active, so every action goes through the reconciler, yet no
+        # node ever faults: it must commit exactly what the fault-free
+        # path commits.
+        m_never, run_never = self.run_experiment_two(
+            ActionFaultModel.uniform(
+                0.5, stall_probability=0.5,
+                node_flakiness={f"node{i}": 0.0 for i in range(4)},
+            )
+        )
+        kinds = {kind for _, kind, _, _ in run_none[0]}
+        assert {TraceEventKind.BOOT, TraceEventKind.SUSPEND,
+                TraceEventKind.RESUME, TraceEventKind.MIGRATE} <= kinds
+        assert run_zero == run_none
+        assert run_never == run_none
         assert m_none.faults.total_attempts == 0
         assert m_zero.faults.total_attempts == 0
+        assert m_never.faults.total_attempts > 0
+        assert m_never.faults.total_failures == 0
+        assert sum(m_never.faults.stalls.values()) == 0
 
     def test_off_path_emits_no_fault_events(self):
         _, trace = self.run_apc_scenario(None)

@@ -144,6 +144,22 @@ class TestSpanProfiler:
         assert "phase" in text
         assert render_profile(SpanProfiler()) == "(no spans recorded)"
 
+    def test_render_profile_prints_a_tree(self):
+        # a/b/d first appears after its parent's sibling a/c; it must
+        # still print directly under a/b, not under a/c.
+        prof = SpanProfiler(clock=ticker())
+        with prof.span("a"):
+            with prof.span("b"):
+                pass
+            with prof.span("c"):
+                pass
+            with prof.span("b"):
+                with prof.span("d"):
+                    pass
+        rows = render_profile(prof, unit="raw").splitlines()[2:]
+        tree = [((len(row) - len(row.lstrip())) // 2, row.split()[0]) for row in rows]
+        assert tree == [(0, "a"), (1, "b"), (2, "d"), (1, "c")]
+
 
 class TestRegistry:
     def test_counter_accumulates_per_label_set(self):
