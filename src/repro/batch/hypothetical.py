@@ -260,12 +260,15 @@ class HypotheticalRPF:
         """Exact per-job demand ``min(ω_m(u), ω^max_m)`` at ``level``."""
         if len(self._job_ids) == 0:
             return np.zeros(0)
-        target_completion = self._goal - level * self._relative_goal
-        horizon = target_completion - self._now
-        with np.errstate(divide="ignore", invalid="ignore"):
-            speed = np.where(horizon > EPSILON, self._remaining / horizon, np.inf)
-        speed = np.minimum(speed, self._max_speed)
-        speed[self._remaining <= EPSILON] = 0.0
+        return self._demand(level, self._remaining <= EPSILON)
+
+    def _demand(self, level: float, done: np.ndarray) -> np.ndarray:
+        """:meth:`demand_at` with the completed-job mask ``done`` given."""
+        horizon = (self._goal - level * self._relative_goal) - self._now
+        speed = np.full(len(horizon), np.inf)
+        np.divide(self._remaining, horizon, out=speed, where=horizon > EPSILON)
+        np.minimum(speed, self._max_speed, out=speed)
+        speed[done] = 0.0
         return speed
 
     def aggregate_demand_at(self, level: float) -> float:
@@ -289,16 +292,21 @@ class HypotheticalRPF:
         cached = self._level_cache.get(aggregate)
         if cached is not None:
             return cached
+        done = self._remaining <= EPSILON
+
+        def demand(level: float) -> float:
+            return float(self._demand(level, done).sum())
+
         lo, hi = float(self._levels[0]), 1.0
-        if self.aggregate_demand_at(hi) <= aggregate + EPSILON:
+        if demand(hi) <= aggregate + EPSILON:
             self._level_cache[aggregate] = hi
             return hi
-        if self.aggregate_demand_at(lo) > aggregate:
+        if demand(lo) > aggregate:
             self._level_cache[aggregate] = lo
             return lo
         for _ in range(_LEVEL_SOLVE_ITERATIONS):
             mid = 0.5 * (lo + hi)
-            if self.aggregate_demand_at(mid) <= aggregate:
+            if demand(mid) <= aggregate:
                 lo = mid
             else:
                 hi = mid

@@ -39,7 +39,9 @@ with the paper's overall heuristic approach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from repro.core.rpf import (
     NEGATIVE_INFINITY_UTILITY,
     RelativePerformanceFunction,
 )
-from repro.units import EPSILON, clamp
+from repro.units import EPSILON
 
 #: Binary-search iterations for utility levels.  48 halvings of the
 #: [-50, 1] utility interval resolve levels to ~2e-13, far below any
@@ -58,6 +60,8 @@ _LEVEL_SEARCH_ITERATIONS = 48
 #: Maximum refinement sweeps.  Each sweep either raises at least one
 #: application or terminates, so this is a safety bound, not a tuning knob.
 _MAX_REFINEMENT_SWEEPS = 64
+
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -202,107 +206,157 @@ class LoadDistributionResult:
     feasible: bool = True
 
 
-def _aggregate_bounds(
-    app: AllocatableApp, state: PlacementState
-) -> Tuple[float, float]:
-    """(min_total, max_total) CPU for the app given its instance count."""
-    count = state.instance_count(app.app_id)
-    min_total = app.demand.min_cpu_mhz * count
-    max_per_instance = app.demand.max_cpu_per_instance_mhz
-    if max_per_instance == float("inf"):
-        max_total = float("inf")
+class _AppRow(NamedTuple):
+    """One placed application's constants for one distribution call."""
+
+    app_id: str
+    divisible: bool
+    #: What a feasibility probe reads: ``(rpf.required_cpu,
+    #: rpf.saturation_cpu, clamp low, clamp high)``.
+    probe: Tuple[Callable[[float], float], float, float, float]
+    min_total: float
+    #: ``inf`` when the per-instance ceiling is ``inf``.
+    max_total: float
+    saturation: float
+    #: ``(node, instance-count x per-instance ceiling)``, in placement order.
+    nodes: List[Tuple[str, float]]
+
+
+def _app_row(app: AllocatableApp, state: PlacementState) -> _AppRow:
+    """Aggregate bounds and per-node caps of ``app`` in ``state``.
+
+    The aggregate demand at a level is the inverse RPF clamped into
+    ``[min(min_total, high), high]``, where ``high`` is ``max_total`` or,
+    without a per-instance ceiling, what the app's nodes could ever
+    provide.  An unreachable level (``required_cpu == inf``) demands the
+    saturation allocation, which the clamp bounds by the ceiling: the app
+    saturates rather than blocking the level.
+    """
+    app_id = app.app_id
+    demand = app.demand
+    count = state.instance_count(app_id)
+    per_instance = demand.max_cpu_per_instance_mhz
+    nodes = [
+        (node, per_instance * n)
+        for node, n in state.instance_items(app_id)
+        if n > 0
+    ]
+    min_total = demand.min_cpu_mhz * count
+    if per_instance == _INF:
+        max_total = _INF
+        cluster = state.cluster
+        high = sum(cluster.node(node).cpu_capacity for node, _ in nodes)
     else:
-        max_total = max_per_instance * count
-    return min_total, max_total
+        max_total = high = per_instance * count
+    saturation = app.rpf.saturation_cpu
+    return _AppRow(
+        app_id, demand.divisible,
+        (app.rpf.required_cpu, saturation, min(min_total, high), high),
+        min_total, max_total, saturation, nodes,
+    )
 
 
-def _target_at_level(
-    app: AllocatableApp, state: PlacementState, level: float
-) -> float:
-    """CPU the app demands at relative-performance level ``level``.
+def _targets(
+    probes: Sequence[Tuple[Callable[[float], float], float, float, float]],
+    level: float,
+) -> List[float]:
+    """Aggregate CPU each probe row demands at ``level``."""
+    out = []
+    for required_cpu, saturation, low, high in probes:
+        required = required_cpu(level)
+        if required == _INF:
+            required = saturation
+        if required < low:
+            out.append(low)
+        elif required > high:
+            out.append(high)
+        else:
+            out.append(required)
+    return out
 
-    The inverse RPF, clamped into the app's feasible speed range.  An
-    unreachable level (``required_cpu == inf``) clamps to the maximum
-    useful speed: the app saturates rather than blocking the level.
+
+class _ScalarPlan:
+    """Per-call plan of the reference distributor.
+
+    Everything a feasibility probe reads that does not depend on the
+    level — each app's bounds and node caps, the singleton/divisible
+    split and the cluster's CPU capacities — is compiled once, so each of
+    the (up to 50) probes of the level search runs only the inverse RPFs,
+    the clamps and the residual-ordered draws.
     """
-    min_total, max_total = _aggregate_bounds(app, state)
-    required = app.rpf.required_cpu(level)
-    if required == float("inf"):
-        # The level is unreachable: the app demands its saturation
-        # allocation (beyond which more CPU cannot improve it), bounded
-        # by its speed ceiling.
-        required = min(app.rpf.saturation_cpu, max_total)
-    if max_total == float("inf"):
-        # No speed ceiling: cap by what its nodes could ever provide.
-        max_total = sum(
-            state.cluster.node(n).cpu_capacity for n in state.nodes_of(app.app_id)
-        )
-        required = min(required, max_total)
-    return clamp(required, min(min_total, max_total), max_total)
 
+    __slots__ = ("ids", "rows", "probes", "singles", "divisibles", "capacity")
 
-def _try_distribute(
-    targets: Mapping[str, float],
-    apps: Mapping[str, AllocatableApp],
-    state: PlacementState,
-) -> Optional[Dict[str, Dict[str, float]]]:
-    """Distribute aggregate targets over instances; ``None`` if infeasible.
+    def __init__(
+        self,
+        state: PlacementState,
+        placed: Mapping[str, AllocatableApp],
+        ids: List[str],
+    ) -> None:
+        self.ids = ids
+        self.rows = [_app_row(placed[a], state) for a in ids]
+        self.probes = [row.probe for row in self.rows]
+        self.singles = [
+            (pos, row.app_id, row.nodes)
+            for pos, row in enumerate(self.rows) if not row.divisible
+        ]
+        self.divisibles = [
+            (pos, row.app_id, row.nodes)
+            for pos, row in enumerate(self.rows) if row.divisible
+        ]
+        self.capacity: Dict[str, float] = {
+            node.name: node.cpu_capacity for node in state.cluster
+        }
 
-    Singleton (non-divisible) applications are handled first — they have
-    no freedom — then divisible applications draw greedily from their
-    nodes in descending residual order.
-    """
-    residual: Dict[str, float] = {
-        node.name: node.cpu_capacity for node in state.cluster
-    }
-    per_node: Dict[str, Dict[str, float]] = {app_id: {} for app_id in targets}
+    def draw(
+        self, targets: Sequence[float]
+    ) -> Optional[Dict[str, Dict[str, float]]]:
+        """Distribute aggregate targets (plan order) over instances;
+        ``None`` if infeasible.
 
-    singletons = [a for a in targets if not apps[a].demand.divisible]
-    divisible = [a for a in targets if apps[a].demand.divisible]
-
-    for app_id in singletons:
-        target = targets[app_id]
-        if target <= EPSILON:
-            continue
-        nodes = state.nodes_of(app_id)
-        remaining = target
-        # A non-divisible app normally has a single instance; if it has
-        # several (not used by the experiments), fill them in order.
-        for node in nodes:
-            count = state.instances(app_id).get(node, 0)
-            cap = apps[app_id].demand.max_cpu_per_instance_mhz * count
-            take = min(remaining, residual[node], cap)
-            if take > EPSILON:
-                per_node[app_id][node] = take
-                residual[node] -= take
-                remaining -= take
+        Singleton (non-divisible) applications are handled first — they
+        have no freedom — then divisible applications draw greedily from
+        their nodes in descending residual order.
+        """
+        residual = self.capacity.copy()
+        per_node: Dict[str, Dict[str, float]] = {a: {} for a in self.ids}
+        for pos, app_id, nodes in self.singles:
+            remaining = targets[pos]
             if remaining <= EPSILON:
-                break
-        if remaining > EPSILON:
-            return None
-
-    for app_id in divisible:
-        target = targets[app_id]
-        if target <= EPSILON:
-            continue
-        remaining = target
-        instance_nodes = state.instances(app_id)
-        # Most-residual-first keeps the greedy exact for a lone divisible
-        # application and balances the router's view of instance speeds.
-        for node in sorted(instance_nodes, key=lambda n: -residual[n]):
-            count = instance_nodes[node]
-            cap = apps[app_id].demand.max_cpu_per_instance_mhz * count
-            take = min(remaining, residual[node], cap)
-            if take > EPSILON:
-                per_node[app_id][node] = per_node[app_id].get(node, 0.0) + take
-                residual[node] -= take
-                remaining -= take
+                continue
+            assignment = per_node[app_id]
+            # A non-divisible app normally has a single instance; if it
+            # has several (not used by the experiments), fill them in
+            # order.
+            for node, cap in nodes:
+                take = min(remaining, residual[node], cap)
+                if take > EPSILON:
+                    assignment[node] = take
+                    residual[node] -= take
+                    remaining -= take
+                if remaining <= EPSILON:
+                    break
+            if remaining > EPSILON:
+                return None
+        for pos, app_id, nodes in self.divisibles:
+            remaining = targets[pos]
             if remaining <= EPSILON:
-                break
-        if remaining > EPSILON:
-            return None
-
-    return per_node
+                continue
+            assignment = per_node[app_id]
+            # Most-residual-first keeps the greedy exact for a lone
+            # divisible application and balances the router's view of
+            # instance speeds.
+            for node, cap in sorted(nodes, key=lambda e: -residual[e[0]]):
+                take = min(remaining, residual[node], cap)
+                if take > EPSILON:
+                    assignment[node] = assignment.get(node, 0.0) + take
+                    residual[node] -= take
+                    remaining -= take
+                if remaining <= EPSILON:
+                    break
+            if remaining > EPSILON:
+                return None
+        return per_node
 
 
 class _VectorContext:
@@ -315,9 +369,9 @@ class _VectorContext:
 
     __slots__ = (
         "placed_ids", "caps", "min_total", "max_total", "saturation",
-        "u_max", "vec_target", "scalar_rows", "remaining", "goal",
-        "relative_goal", "now", "max_speed", "levels",
-        "divisible_rows", "scalar_verdict", "node_names", "is_job_row",
+        "u_max", "vec_target", "scalar_pos", "scalar_probes", "remaining",
+        "goal", "relative_goal", "now", "max_speed", "levels",
+        "divisible_rows", "plan", "node_names", "is_job_row",
     )
 
     @classmethod
@@ -344,7 +398,7 @@ class _VectorContext:
         )
         max_pi = tables.max_per_instance[row_arr]
         ctx.min_total = tables.min_cpu[row_arr] * counts
-        # _aggregate_bounds: inf per-instance ceiling -> inf total.
+        # _app_row: inf per-instance ceiling -> inf total.
         ctx.max_total = np.where(np.isinf(max_pi), np.inf, max_pi * counts)
         is_job = tables.is_job[row_arr]
         ctx.is_job_row = is_job
@@ -359,12 +413,9 @@ class _VectorContext:
         )
         # Rows whose targets the array kernel can produce: parametric
         # batch RPFs with a finite speed ceiling.  Everything else gets
-        # the scalar _target_at_level.
+        # the scalar targets.
         ctx.vec_target = is_job & np.isfinite(max_pi)
-        ctx.scalar_rows = [
-            (pos, placed_ids[pos])
-            for pos in np.flatnonzero(~ctx.vec_target).tolist()
-        ]
+        ctx.scalar_pos = np.flatnonzero(~ctx.vec_target).tolist()
         node_index = state.node_index
         ctx.node_names = list(node_index)
         ctx.caps = state.capacity_arrays()[0]
@@ -374,12 +425,12 @@ class _VectorContext:
         # in placed order and nodes never interact across apps, so
         # draining level-by-level reproduces each node's sequential
         # residual chain bit for bit.  A multi-node singleton would break
-        # the bucketing; fall back to the scalar verdict for the whole
-        # call (vectorized targets are still used).
+        # the bucketing; fall back to the scalar plan's verdict for the
+        # whole call (vectorized targets are still used).
         per_node_seq: Dict[int, List[int]] = {}
         divisible_rows: List[Tuple[int, str, List[Tuple[str, int, float]]]] = []
         max_pi_list = max_pi.tolist()
-        ctx.scalar_verdict = False
+        scalar_verdict = False
         for pos, app_id in enumerate(placed_ids):
             items = list(state.instance_items(app_id))
             if placed[app_id].demand.divisible:
@@ -394,7 +445,7 @@ class _VectorContext:
                 continue
             nodes = [(node, count) for node, count in items if count > 0]
             if len(nodes) != 1:
-                ctx.scalar_verdict = True
+                scalar_verdict = True
                 continue
             node, count = nodes[0]
             per_node_seq.setdefault(node_index[node], []).append(pos)
@@ -415,15 +466,20 @@ class _VectorContext:
             ]
             levels.append((pos_arr, col_arr, cap_arr))
         ctx.levels = levels
+        if scalar_verdict:
+            ctx.plan = _ScalarPlan(state, placed, placed_ids)
+            probes = ctx.plan.probes
+            ctx.scalar_probes = [probes[pos] for pos in ctx.scalar_pos]
+        else:
+            ctx.plan = None
+            ctx.scalar_probes = [
+                _app_row(placed[placed_ids[pos]], state).probe
+                for pos in ctx.scalar_pos
+            ]
         return ctx
 
     # ------------------------------------------------------------------
-    def targets_at(
-        self,
-        level: float,
-        placed: Mapping[str, AllocatableApp],
-        state: PlacementState,
-    ) -> np.ndarray:
+    def targets_at(self, level: float) -> np.ndarray:
         """Per-app aggregate CPU demand at ``level`` (placed order)."""
         remaining, now = self.remaining, self.now
         # JobAllocationRPF.required_cpu, elementwise, in its exact
@@ -438,29 +494,25 @@ class _VectorContext:
         )
         req = np.where(level > self.u_max + EPSILON, np.inf, req)
         req = np.where(remaining <= EPSILON, 0.0, req)
-        # _target_at_level continuation: unreachable -> saturation cap,
-        # then clamp into [min(min_total, max_total), max_total].
+        # _targets continuation: unreachable -> saturation cap, then
+        # clamp into [min(min_total, max_total), max_total].
         req = np.where(
             np.isinf(req), np.minimum(self.saturation, self.max_total), req
         )
         low = np.minimum(self.min_total, self.max_total)
         t = np.where(req < low, low, req)
         t = np.where(t > self.max_total, self.max_total, t)
-        for pos, app_id in self.scalar_rows:
-            t[pos] = _target_at_level(placed[app_id], state, level)
+        for pos, value in zip(
+            self.scalar_pos, _targets(self.scalar_probes, level)
+        ):
+            t[pos] = value
         return t
 
-    def verdict(
-        self,
-        targets: np.ndarray,
-        placed: Mapping[str, AllocatableApp],
-        state: PlacementState,
-    ):
-        """Vectorized :func:`_try_distribute`: ``None`` if infeasible,
+    def verdict(self, targets: np.ndarray):
+        """Vectorized :meth:`_ScalarPlan.draw`: ``None`` if infeasible,
         else the recorded takes for :meth:`materialize`."""
-        if self.scalar_verdict:
-            target_map = dict(zip(self.placed_ids, targets.tolist()))
-            per_node = _try_distribute(target_map, placed, state)
+        if self.plan is not None:
+            per_node = self.plan.draw(targets.tolist())
             return None if per_node is None else ("scalar", per_node)
         residual = self.caps.copy()
         level_takes = []
@@ -583,11 +635,10 @@ def distribute_load(
                 state, placed, placed_ids, ctx, result, write_load_matrix
             )
 
-    def targets_at(level: float) -> Dict[str, float]:
-        return {a: _target_at_level(placed[a], state, level) for a in placed_ids}
+    plan = _ScalarPlan(state, placed, placed_ids)
 
     def feasible(level: float) -> Optional[Dict[str, Dict[str, float]]]:
-        return _try_distribute(targets_at(level), placed, state)
+        return plan.draw(_targets(plan.probes, level))
 
     # ------------------------------------------------------------------
     # Phase 1+2: binary search the highest feasible common level.
@@ -598,12 +649,13 @@ def distribute_load(
         # Even the floor level (≈ minimum speeds) does not fit: best
         # effort — hand every app what its nodes can give, worst first.
         result.feasible = False
-        best_assignment = _best_effort(placed, state)
+        best_assignment = _best_effort(plan)
         result.common_level = NEGATIVE_INFINITY_UTILITY
     else:
-        if feasible(hi) is not None:
+        probe = feasible(hi)
+        if probe is not None:
             lo = hi
-            best_assignment = feasible(hi)
+            best_assignment = probe
         else:
             for _ in range(_LEVEL_SEARCH_ITERATIONS):
                 mid = 0.5 * (lo + hi)
@@ -622,22 +674,20 @@ def distribute_load(
     # ------------------------------------------------------------------
     # Phase 3: lexicographic refinement with leftover capacity.
     # ------------------------------------------------------------------
-    residual: Dict[str, float] = {
-        node.name: node.cpu_capacity for node in state.cluster
-    }
+    residual = plan.capacity.copy()
     for app_id, nodes in best_assignment.items():
         for node, cpu in nodes.items():
             residual[node] -= cpu
 
+    rows = dict(zip(placed_ids, plan.rows))
     for _ in range(_MAX_REFINEMENT_SWEEPS):
         raised_any = False
         order = sorted(
             placed_ids, key=lambda a: placed[a].rpf.utility(allocations[a])
         )
         for app_id in order:
-            app = placed[app_id]
             gain = _raise_app(
-                app, state, best_assignment.setdefault(app_id, {}),
+                rows[app_id], best_assignment.setdefault(app_id, {}),
                 allocations[app_id], residual,
             )
             if gain > EPSILON:
@@ -675,13 +725,16 @@ def _distribute_load_vec(
     """
 
     def feasible(level: float):
-        return ctx.verdict(ctx.targets_at(level, placed, state), placed, state)
+        return ctx.verdict(ctx.targets_at(level))
 
     lo, hi = NEGATIVE_INFINITY_UTILITY, 1.0
     verdict = feasible(lo)
     if verdict is None:
         result.feasible = False
-        best_assignment = _best_effort(placed, state)
+        plan = ctx.plan
+        if plan is None:
+            plan = _ScalarPlan(state, placed, placed_ids)
+        best_assignment = _best_effort(plan)
         result.common_level = NEGATIVE_INFINITY_UTILITY
     else:
         probe = feasible(hi)
@@ -712,6 +765,9 @@ def _distribute_load_vec(
             residual[node] -= cpu
 
     vec_skip = ctx.is_job_row
+    # Refinement rows, built on first visit: zero-headroom parametric
+    # rows (most of a large cluster's) never need one.
+    rows: Dict[str, _AppRow] = {}
     for _ in range(_MAX_REFINEMENT_SWEEPS):
         raised_any = False
         values = ctx.utilities(allocations, placed)
@@ -733,9 +789,11 @@ def _distribute_load_vec(
         for app_id in order:
             if app_id in skip:
                 continue
-            app = placed[app_id]
+            row = rows.get(app_id)
+            if row is None:
+                row = rows[app_id] = _app_row(placed[app_id], state)
             gain = _raise_app(
-                app, state, best_assignment.setdefault(app_id, {}),
+                row, best_assignment.setdefault(app_id, {}),
                 allocations[app_id], residual,
             )
             if gain > EPSILON:
@@ -759,8 +817,7 @@ def _distribute_load_vec(
 
 
 def _raise_app(
-    app: AllocatableApp,
-    state: PlacementState,
+    row: _AppRow,
     assignment: Dict[str, float],
     current_total: float,
     residual: Dict[str, float],
@@ -769,20 +826,15 @@ def _raise_app(
 
     Returns the total CPU gained.  Mutates ``assignment`` and ``residual``.
     """
-    _, max_total = _aggregate_bounds(app, state)
     # CPU the app could still usefully absorb: up to its saturation point
     # and its speed ceiling.
-    saturation = app.rpf.saturation_cpu
-    useful_ceiling = min(max_total, max(saturation, current_total))
+    useful_ceiling = min(row.max_total, max(row.saturation, current_total))
     headroom = useful_ceiling - current_total
     if headroom <= EPSILON:
         return 0.0
 
     gained = 0.0
-    instance_nodes = state.instances(app.app_id)
-    for node in sorted(instance_nodes, key=lambda n: -residual[n]):
-        count = instance_nodes[node]
-        cap = app.demand.max_cpu_per_instance_mhz * count
+    for node, cap in sorted(row.nodes, key=lambda e: -residual[e[0]]):
         here = assignment.get(node, 0.0)
         take = min(headroom - gained, residual[node], cap - here)
         if take > EPSILON:
@@ -794,27 +846,18 @@ def _raise_app(
     return gained
 
 
-def _best_effort(
-    placed: Mapping[str, AllocatableApp], state: PlacementState
-) -> Dict[str, Dict[str, float]]:
+def _best_effort(plan: _ScalarPlan) -> Dict[str, Dict[str, float]]:
     """Fallback when minimum speeds do not fit: give minima where
     possible, clipping on saturated nodes, singletons first."""
-    residual: Dict[str, float] = {
-        node.name: node.cpu_capacity for node in state.cluster
-    }
-    per_node: Dict[str, Dict[str, float]] = {a: {} for a in placed}
-    ordered = sorted(placed, key=lambda a: placed[a].demand.divisible)
-    for app_id in ordered:
-        app = placed[app_id]
-        min_total, _ = _aggregate_bounds(app, state)
-        remaining = min_total
-        instance_nodes = state.instances(app_id)
-        for node in sorted(instance_nodes, key=lambda n: -residual[n]):
-            count = instance_nodes[node]
-            cap = app.demand.max_cpu_per_instance_mhz * count
+    residual = plan.capacity.copy()
+    per_node: Dict[str, Dict[str, float]] = {a: {} for a in plan.ids}
+    for row in sorted(plan.rows, key=lambda r: r.divisible):
+        remaining = row.min_total
+        assignment = per_node[row.app_id]
+        for node, cap in sorted(row.nodes, key=lambda e: -residual[e[0]]):
             take = min(remaining, residual[node], cap)
             if take > EPSILON:
-                per_node[app_id][node] = take
+                assignment[node] = take
                 residual[node] -= take
                 remaining -= take
             if remaining <= EPSILON:

@@ -97,11 +97,6 @@ class PendingAction:
     holding: bool = False
 
     @property
-    def primary_node(self) -> str:
-        """Deterministic representative destination node."""
-        return sorted(self.dest_nodes)[0]
-
-    @property
     def target_node(self) -> str:
         """Deterministic representative node the action acts on.
 

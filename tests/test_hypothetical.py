@@ -9,6 +9,7 @@ from repro.batch.hypothetical import DEFAULT_UTILITY_LEVELS, HypotheticalRPF
 from repro.batch.rpf import JobAllocationRPF
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.errors import ConfigurationError
+from repro.units import EPSILON
 
 from tests.conftest import make_job
 
@@ -186,3 +187,53 @@ class TestPredictionCoupling:
         level = JobAllocationRPF(urgent, 0.0).max_utility - 0.01
         demands = h.demand_at(level)
         assert demands[1] > demands[0]
+
+
+class TestDemandIdentity:
+    """The masked-divide demand kernel computes the same bits as the
+    ``np.where`` form it replaced, done jobs and past horizons included."""
+
+    @staticmethod
+    def where_form(h, level):
+        horizon = (h._goal - level * h._relative_goal) - h._now
+        with np.errstate(divide="ignore", invalid="ignore"):
+            speed = np.where(horizon > EPSILON, h._remaining / horizon, np.inf)
+        speed = np.minimum(speed, h._max_speed)
+        speed[h._remaining <= EPSILON] = 0.0
+        return speed
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([1, 5, 50, 500]),
+        levels=st.lists(
+            st.floats(NEGATIVE_INFINITY_UTILITY, 1.0), min_size=1, max_size=20
+        ),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_demand_is_bit_identical(self, seed, size, levels):
+        rng = np.random.default_rng(seed)
+        remaining = rng.uniform(0.0, 1e6, size)
+        kind = rng.random(size)
+        remaining[kind < 0.2] = 0.0
+        # Nearly done: below max speed even over a sub-EPSILON horizon.
+        remaining[(kind >= 0.2) & (kind < 0.4)] = 1e-4
+        h = HypotheticalRPF.from_arrays(
+            [f"j{i}" for i in range(size)],
+            remaining=remaining,
+            goal=rng.uniform(100.0, 5000.0, size),
+            relative_goal=rng.uniform(10.0, 4000.0, size),
+            max_speed=rng.uniform(100.0, 4000.0, size),
+            now=rng.uniform(0.0, 3000.0, size),
+            u_max=np.ones(size),
+        )
+        # Levels that put each of the first jobs' horizons at, around
+        # and past the EPSILON threshold, where the two branches meet.
+        for k in range(min(size, 5)):
+            for delta in (-1.0, 0.0, 5e-7, EPSILON, 2e-6):
+                levels.append(
+                    (h._goal[k] - h._now[k] - delta) / h._relative_goal[k]
+                )
+        for level in levels:
+            expected = self.where_form(h, level)
+            assert h.demand_at(level).tobytes() == expected.tobytes()
+            assert h.aggregate_demand_at(level) == float(expected.sum())

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 
 from repro.batch.rpf import JobAllocationRPF
 from repro.cluster import Cluster
-from repro.core.loadbalance import AllocatableApp, distribute_load
+from repro.core.loadbalance import AllocatableApp, SpecArrays, distribute_load
 from repro.core.placement import AppDemand, PlacementState
-from repro.core.rpf import LinearRPF
+from repro.core.rpf import NEGATIVE_INFINITY_UTILITY, LinearRPF, PiecewiseLinearRPF
 
+from tests import loadbalance_oracle as oracle
 from tests.conftest import make_job
 
 
@@ -210,3 +211,218 @@ class TestMultiNode:
         # Every job within its speed bounds.
         for i in range(n):
             assert result.allocations[f"j{i}"] <= speeds[i] + 1e-6
+
+
+# ----------------------------------------------------------------------
+# Three-way identity: the frozen reference distributor, the production
+# scalar path (tables=None) and the array-kernel path must compute the
+# same floats in the same order.
+# ----------------------------------------------------------------------
+
+def _txn_app(app_id="web"):
+    """Divisible transactional app, no per-instance ceiling, saturating
+    at 6000 MHz."""
+    return AllocatableApp(
+        demand=AppDemand(
+            app_id=app_id,
+            memory_mb=100.0,
+            min_cpu_mhz=200.0,
+            max_instances=None,
+            divisible=True,
+        ),
+        rpf=PiecewiseLinearRPF(
+            [(0.0, -1.0), (1500.0, 0.0), (4000.0, 0.6), (6000.0, 0.8)]
+        ),
+    )
+
+
+def _build(cluster_nodes, capacity, placements, outage):
+    cluster = Cluster.homogeneous(
+        cluster_nodes, cpu_capacity=capacity, memory_capacity=100_000
+    )
+    state = PlacementState(cluster)
+    for app_id, node, count in placements:
+        state.place(app_id, cluster.node_names[node], 100.0, count)
+    if outage:
+        cluster.node(cluster.node_names[-1]).available = False
+    return state
+
+
+def _items(mapping):
+    return list(mapping.items())
+
+
+def _assert_three_way(specs, cluster_nodes, capacity, placements, outage=False):
+    """Run all three distributors on fresh copies of one instance and
+    compare every output exactly; returns the reference result."""
+    outputs = []
+    for run in (
+        lambda s: oracle.distribute_load(s, specs),
+        lambda s: distribute_load(s, specs),
+        lambda s: distribute_load(
+            s, specs, tables=SpecArrays.from_specs(specs)
+        ),
+    ):
+        state = _build(cluster_nodes, capacity, placements, outage)
+        result = run(state)
+        outputs.append((
+            _items(result.allocations),
+            _items(result.utilities),
+            result.common_level,
+            result.feasible,
+            [(a, _items(n)) for a, n in state.load_matrix().items()],
+        ))
+        if not outage:  # a node that went down still holds its memory
+            state.validate()
+    reference, scalar, vector = outputs
+    assert scalar == reference
+    assert vector == reference
+    return result
+
+
+@st.composite
+def _instances(draw):
+    cluster_nodes = draw(st.integers(1, 4))
+    capacity = draw(st.sampled_from([1000.0, 2600.0, 3900.0]))
+    specs = {}
+    placements = []
+    for i in range(draw(st.integers(0, 7))):
+        max_speed = draw(st.sampled_from([250.0, 500.0, 1000.0, 2000.0]))
+        job = make_job(
+            f"j{i}",
+            work=draw(st.floats(100.0, 200_000.0)),
+            max_speed=max_speed,
+            submit=draw(st.floats(0.0, 50.0)),
+            goal_factor=draw(st.floats(1.05, 6.0)),
+        )
+        done = draw(st.booleans()) and draw(st.booleans())
+        # Two-instance jobs are the multi-node non-divisible case.
+        instances = draw(st.sampled_from([1, 1, 1, 2]))
+        specs[job.job_id] = AllocatableApp(
+            demand=AppDemand(
+                app_id=job.job_id,
+                memory_mb=100.0,
+                min_cpu_mhz=draw(st.sampled_from([0.0, 0.0, 0.5 * max_speed])),
+                max_cpu_per_instance_mhz=max_speed / instances,
+                max_instances=instances,
+                divisible=False,
+            ),
+            rpf=JobAllocationRPF(
+                job, draw(st.floats(0.0, 100.0)),
+                remaining_work=0.0 if done else None,
+            ),
+        )
+        if draw(st.integers(0, 5)) == 0:
+            continue  # known to the controller but not placed
+        for k in range(instances):
+            node = draw(st.integers(0, cluster_nodes - 1))
+            placements.append((job.job_id, node, 1))
+    if draw(st.booleans()):
+        nodes = draw(
+            st.lists(
+                st.integers(0, cluster_nodes - 1), min_size=1, max_size=4,
+                unique=True,
+            )
+        )
+        # Anywhere in the controller's order, not only after the jobs.
+        order = list(specs.items())
+        order.insert(draw(st.integers(0, len(order))), ("web", _txn_app()))
+        specs = dict(order)
+        for node in nodes:
+            placements.append(("web", node, draw(st.integers(1, 2))))
+    outage = cluster_nodes > 1 and draw(st.integers(0, 4)) == 0
+    return specs, cluster_nodes, capacity, placements, outage
+
+
+class TestThreeWayIdentity:
+    @given(instance=_instances())
+    @settings(max_examples=200, deadline=None)
+    def test_reference_scalar_and_vector_agree(self, instance):
+        _assert_three_way(*instance)
+
+    def _jobs_on_one_node(self, count, min_speed=0.0, goal_factor=1.5):
+        specs, placements = {}, []
+        for i in range(count):
+            job = make_job(
+                f"j{i}", work=400_000, max_speed=1000, goal_factor=goal_factor,
+                min_speed=min_speed,
+            )
+            specs[job.job_id] = AllocatableApp(
+                demand=AppDemand(
+                    app_id=job.job_id, memory_mb=100.0, min_cpu_mhz=min_speed,
+                    max_cpu_per_instance_mhz=1000.0, divisible=False,
+                ),
+                rpf=JobAllocationRPF(job, 0.0),
+            )
+            placements.append((job.job_id, 0, 1))
+        return specs, placements
+
+    def test_saturated_node_runs_the_bisection(self):
+        specs, placements = self._jobs_on_one_node(4)
+        result = _assert_three_way(specs, 1, 2600.0, placements)
+        assert result.feasible
+        assert NEGATIVE_INFINITY_UTILITY < result.common_level < 1.0
+
+    def test_done_job_beside_running_ones(self):
+        specs, placements = self._jobs_on_one_node(3)
+        done = make_job("done", work=5000, max_speed=1000)
+        specs["done"] = AllocatableApp(
+            demand=AppDemand(
+                app_id="done", memory_mb=100.0, max_cpu_per_instance_mhz=1000.0,
+            ),
+            rpf=JobAllocationRPF(done, 0.0, remaining_work=0.0),
+        )
+        placements.append(("done", 0, 1))
+        result = _assert_three_way(specs, 1, 2600.0, placements)
+        assert result.allocations["done"] == 0.0
+        assert result.utilities["done"] == 1.0
+
+    def test_divisible_txn_app_over_several_nodes(self):
+        specs, placements = self._jobs_on_one_node(2)
+        specs["web"] = _txn_app()
+        placements += [("web", 0, 1), ("web", 1, 2), ("web", 2, 1)]
+        result = _assert_three_way(specs, 3, 2600.0, placements)
+        assert specs["web"].demand.max_cpu_per_instance_mhz == float("inf")
+        assert result.allocations["web"] > 0.0
+
+    def test_unreachable_level_demands_saturation(self):
+        """Level 1.0 is above the txn app's maximum utility (0.8): it
+        demands its saturation allocation, not all its nodes can give."""
+        placements = [("web", 0, 1), ("web", 1, 1), ("web", 2, 1)]
+        result = _assert_three_way({"web": _txn_app()}, 3, 2600.0, placements)
+        assert result.common_level == 1.0
+        assert result.allocations["web"] == 6000.0
+
+    def test_txn_app_whose_nodes_are_down(self):
+        """Its minimum (2 x 200 MHz) exceeds what its nodes can give (0
+        MHz): the clamp's floor drops to that capacity."""
+        specs, placements = self._jobs_on_one_node(2)
+        specs["web"] = _txn_app()
+        placements.append(("web", 1, 2))
+        result = _assert_three_way(specs, 2, 2600.0, placements, outage=True)
+        assert result.feasible
+        assert result.allocations["web"] == 0.0
+
+    def test_multi_node_non_divisible_app(self):
+        specs, placements = self._jobs_on_one_node(2)
+        pair = make_job("pair", work=400_000, max_speed=2000, goal_factor=1.5)
+        specs["pair"] = AllocatableApp(
+            demand=AppDemand(
+                app_id="pair", memory_mb=100.0,
+                max_cpu_per_instance_mhz=1000.0, max_instances=2,
+            ),
+            rpf=JobAllocationRPF(pair, 0.0),
+        )
+        placements += [("pair", 1, 1), ("pair", 0, 1)]
+        result = _assert_three_way(specs, 2, 2600.0, placements)
+        assert result.allocations["pair"] > 1000.0
+
+    def test_infeasible_minimums_take_the_best_effort(self):
+        jobs, placements = self._jobs_on_one_node(4, min_speed=800.0)
+        # Listed first, drawn last: the best effort serves singletons
+        # before divisible apps.
+        specs = {"web": _txn_app(), **jobs}
+        placements += [("web", 0, 1), ("web", 1, 1)]
+        result = _assert_three_way(specs, 2, 2600.0, placements)
+        assert not result.feasible
+        assert result.common_level == NEGATIVE_INFINITY_UTILITY
