@@ -19,14 +19,18 @@ workload.  The paper's construction:
 
 The interpolation avoids solving a system of linear equations online
 (which the paper notes is too costly for an on-line placement algorithm).
-Everything is vectorized with numpy: the matrices are rebuilt at every
-candidate-placement evaluation, so this is the hottest code in the
-controller.
+The controller's default prediction (``PredictionMethod.EXACT``) does
+not use the matrices at all: it solves the common level that the
+aggregate sustains exactly (:meth:`HypotheticalRPF.equalized_level`),
+probing the per-job demand only at the levels its bisection cannot
+decide from earlier probes.  ``W``/``V`` are built lazily, for the
+``INTERPOLATE`` method and the matrix accessors only.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -94,6 +98,11 @@ DEFAULT_UTILITY_LEVELS: Tuple[float, ...] = (
 #: of the [-50, 1] interval resolve the level far below model noise.
 _LEVEL_SOLVE_ITERATIONS = 48
 
+#: Most safeguarded Newton probes one solve spends locating its level
+#: before the bisection runs (the bisection probes whatever they leave
+#: open, so the cap only bounds the cost of a badly conditioned solve).
+_NEWTON_PROBES = 16
+
 
 def _validated_levels(levels: Sequence[float]) -> np.ndarray:
     """Validate the sampling points ``u_1 … u_R`` and return them as an
@@ -106,6 +115,16 @@ def _validated_levels(levels: Sequence[float]) -> np.ndarray:
     if abs(lv[-1] - 1.0) > EPSILON:
         raise ConfigurationError("last sampling level must be 1.0")
     return np.asarray(lv, dtype=float)
+
+
+def _check_demand_premise(remaining: np.ndarray, relative_goal: np.ndarray) -> None:
+    """Reject job fields under which demand could fall as the level rises
+    (the premise of :meth:`HypotheticalRPF.equalized_level`).  NaN fails
+    both checks."""
+    if not np.all(relative_goal > 0):
+        raise ConfigurationError("every relative goal must be positive")
+    if not np.all(remaining >= 0):
+        raise ConfigurationError("remaining work must be non-negative")
 
 
 class HypotheticalRPF:
@@ -127,6 +146,7 @@ class HypotheticalRPF:
         self._remaining = np.array([r.remaining_work for r in job_rpfs], dtype=float)
         self._goal = np.array([r.goal for r in job_rpfs], dtype=float)
         self._relative_goal = np.array([r.relative_goal for r in job_rpfs], dtype=float)
+        _check_demand_premise(self._remaining, self._relative_goal)
         self._max_speed = np.array([r.max_speed for r in job_rpfs], dtype=float)
         self._now = np.array([r.now for r in job_rpfs], dtype=float)
         self._u_max = np.array([r.max_utility for r in job_rpfs], dtype=float)
@@ -173,6 +193,7 @@ class HypotheticalRPF:
         obj._max_speed = np.asarray(max_speed, dtype=float)
         obj._now = np.asarray(now, dtype=float)
         obj._u_max = np.asarray(u_max, dtype=float)
+        _check_demand_premise(obj._remaining, obj._relative_goal)
         obj._w = None
         obj._v = None
         obj._w_sums = None
@@ -260,23 +281,30 @@ class HypotheticalRPF:
         """Exact per-job demand ``min(ω_m(u), ω^max_m)`` at ``level``."""
         if len(self._job_ids) == 0:
             return np.zeros(0)
-        return self._demand(level, self._remaining <= EPSILON)
+        return self._demand(level, self._remaining <= EPSILON)[0]
 
-    def _demand(self, level: float, done: np.ndarray) -> np.ndarray:
-        """:meth:`demand_at` with the completed-job mask ``done`` given."""
+    def _demand(
+        self, level: float, done: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`demand_at` with the completed-job mask ``done`` given,
+        plus the horizons it divided by and the mask of those above
+        ``EPSILON``."""
         horizon = (self._goal - level * self._relative_goal) - self._now
+        finite = horizon > EPSILON
         speed = np.full(len(horizon), np.inf)
-        np.divide(self._remaining, horizon, out=speed, where=horizon > EPSILON)
+        np.divide(self._remaining, horizon, out=speed, where=finite)
         np.minimum(speed, self._max_speed, out=speed)
         speed[done] = 0.0
-        return speed
+        return speed, horizon, finite
 
     def aggregate_demand_at(self, level: float) -> float:
         """Exact aggregate speed needed for every job to reach ``level``
         (or its maximum achievable performance if lower)."""
         return float(self.demand_at(level).sum())
 
-    def equalized_level(self, aggregate_mhz: float) -> float:
+    def equalized_level(
+        self, aggregate_mhz: float, *, start: Optional[float] = None
+    ) -> float:
         """The common relative-performance level ``u*`` sustained by
         aggregate ``ω_g``: the largest ``u`` with
         ``Σ_m min(ω_m(u), ω^max_m) <= ω_g``.
@@ -285,32 +313,149 @@ class HypotheticalRPF:
         approximates by the ``W``/``V`` interpolation (it notes the exact
         solve was "too costly to perform in an on-line placement
         algorithm" on 2008 hardware; vectorized it is not).
+
+        The answer is that of a 48-step bisection over
+        ``[u_1, 1]`` with an exact demand probe at every mid, but most
+        mids are decided without one.  Premise: the float demand
+        ``D(u) = Σ_m min(rem_m / ((τ_m − u·rel_m) − t_now), ω^max_m)``,
+        as :meth:`demand_at` computes it, never decreases as ``u``
+        rises.  It holds because every ``rel_m > 0`` and every
+        ``rem_m >= 0`` (both constructors check), each float operation
+        is monotone under round-to-nearest, a horizon at or below
+        ``EPSILON`` becomes ``inf`` and is capped at ``ω^max_m``, done
+        jobs add a constant 0, and the sum over a fixed-length array
+        runs one fixed tree of additions.  So once a probed level ``a``
+        fits (``D(a) <= ω_g``) and a probed ``b`` does not, every mid
+        ``<= a`` fits and every mid ``>= b`` does not; only the mids
+        between them are probed.  Safeguarded Newton probes from
+        ``start`` place ``a`` and ``b`` near the answer, and two probes
+        at the ends of the bisection's predicted final cell then decide
+        every mid when the prediction is right.
+
+        ``start`` is a guess of the answer (the batch model passes the
+        level it solved last).  It only chooses where the first probes
+        go: any value — ``None``, NaN, out of range — returns the same
+        level.  ``None`` (or an unusable value) starts from the probe at
+        level 1.0.
         """
         if len(self._job_ids) == 0:
             return 1.0
         aggregate = max(0.0, float(aggregate_mhz))
-        cached = self._level_cache.get(aggregate)
-        if cached is not None:
-            return cached
+        level = self._level_cache.get(aggregate)
+        if level is None:
+            level = self._level_cache[aggregate] = self._solve_level(
+                aggregate, start
+            )
+        return level
+
+    def _solve_level(self, aggregate: float, start: Optional[float]) -> float:
+        """:meth:`equalized_level` for a clamped aggregate, uncached."""
         done = self._remaining <= EPSILON
+        floor = float(self._levels[0])
+        # The probed bracket: ``fit`` is the highest level whose exact
+        # demand was seen to fit the aggregate, ``over`` the lowest seen
+        # not to; ``fit_d``/``over_d`` are those demands.
+        fit, fit_d = -math.inf, 0.0
+        over, over_d = 1.0, math.inf
 
-        def demand(level: float) -> float:
-            return float(self._demand(level, done).sum())
+        def probe(level: float, newton: bool) -> Tuple[float, Optional[float]]:
+            """Exact demand at ``level``, recorded in the bracket; with
+            ``newton``, also the Newton target from ``level`` (``None``
+            where the demand is flat)."""
+            nonlocal fit, fit_d, over, over_d
+            speed, horizon, finite = self._demand(level, done)
+            demand = float(speed.sum())
+            if demand <= aggregate:
+                fit, fit_d = level, demand
+            else:
+                over, over_d = level, demand
+            if not newton:
+                return demand, None
+            # Split D into the capped jobs' constant C and the uncapped
+            # jobs' U = Σ rem/(h0 - u·rel), with dU/du = Σ speed·rel/h.
+            # Each uncapped term is a hyperbola in u, so 1/U is nearly
+            # linear: Newton on 1/U - 1/(aggregate - C) lands far closer
+            # than Newton on D itself.
+            rising = finite & (speed < self._max_speed)
+            part = np.where(rising, speed, 0.0)
+            uncapped = float(part.sum())
+            np.divide(part, horizon, out=part, where=rising)
+            part *= self._relative_goal
+            room = aggregate - (demand - uncapped)
+            scale = float(part.sum()) * room
+            if not (scale > 0 and room > 0):
+                return demand, None
+            return demand, level - uncapped * (demand - aggregate) / scale
 
-        lo, hi = float(self._levels[0]), 1.0
-        if demand(hi) <= aggregate + EPSILON:
-            self._level_cache[aggregate] = hi
-            return hi
-        if demand(lo) > aggregate:
-            self._level_cache[aggregate] = lo
-            return lo
+        def fits(level: float) -> bool:
+            if level <= fit:
+                return True
+            if level >= over:
+                return False
+            return probe(level, False)[0] <= aggregate
+
+        cold = start is None or not floor < start < 1.0
+        top, target = probe(1.0, cold)
+        if top <= aggregate + EPSILON:
+            return 1.0
+        if not cold:
+            target = float(start)
+
+        # Safeguarded Newton: a step that leaves the bracket falls back
+        # to the secant across it, or to its midpoint when the previous
+        # step fell back too (a secant pinned to one end crawls); with no
+        # fitting level yet it falls back to the floor (the floor exit).
+        fell_back = False
+        for _ in range(_NEWTON_PROBES):
+            lower = max(fit, floor)
+            if target is not None and lower < target < over:
+                fell_back = False
+            else:
+                target = None
+                if not fell_back and fit >= floor and over_d > fit_d:
+                    share = (aggregate - fit_d) / (over_d - fit_d)
+                    target = fit + share * (over - fit)
+                if target is None or not lower < target < over:
+                    target = floor if fit < floor else 0.5 * (fit + over)
+                fell_back = True
+            level = target
+            _, target = probe(level, True)
+            if level == floor and fit < floor:
+                return floor
+            tolerance = 4 * math.ulp(max(1.0, abs(level)))
+            if target is not None and abs(target - level) <= tolerance:
+                break
+            if over - max(fit, floor) <= tolerance:
+                break
+        lower = max(fit, floor)
+        estimate = (
+            target
+            if target is not None and lower <= target <= over
+            else 0.5 * (lower + over)
+        )
+
+        # Replay the bisection against the estimate to predict its final
+        # cell and decide both ends exactly: every mid of the real loop
+        # lies outside that cell, so a right prediction decides them all.
+        lo, hi = floor, 1.0
         for _ in range(_LEVEL_SOLVE_ITERATIONS):
             mid = 0.5 * (lo + hi)
-            if demand(mid) <= aggregate:
+            if mid <= estimate:
                 lo = mid
             else:
                 hi = mid
-        self._level_cache[aggregate] = lo
+        fits(lo)
+        fits(hi)
+
+        lo, hi = floor, 1.0
+        if not fits(lo):
+            return lo
+        for _ in range(_LEVEL_SOLVE_ITERATIONS):
+            mid = 0.5 * (lo + hi)
+            if fits(mid):
+                lo = mid
+            else:
+                hi = mid
         return lo
 
     def job_speeds_exact(self, aggregate_mhz: float) -> np.ndarray:
@@ -354,20 +499,29 @@ class HypotheticalRPF:
         return u
 
     def job_utilities(
-        self, aggregate_mhz: float, method: MethodLike = PredictionMethod.EXACT
+        self,
+        aggregate_mhz: float,
+        method: MethodLike = PredictionMethod.EXACT,
+        *,
+        start: Optional[float] = None,
     ) -> Dict[str, float]:
         """Predicted relative performance per job for aggregate ``ω_g``.
 
         ``method`` is a :class:`PredictionMethod` (or its string value):
         ``EXACT`` (default) solves the equalized level exactly;
         ``INTERPOLATE`` uses the paper's ``W``/``V`` sampling
-        approximation (equation (6)).
+        approximation (equation (6)).  ``start`` is passed to
+        :meth:`equalized_level` and never changes the result.
         """
-        utilities = self.utilities_array(aggregate_mhz, method=method)
+        utilities = self.utilities_array(aggregate_mhz, method=method, start=start)
         return dict(zip(self._job_ids, utilities.tolist()))
 
     def utilities_array(
-        self, aggregate_mhz: float, method: MethodLike = PredictionMethod.EXACT
+        self,
+        aggregate_mhz: float,
+        method: MethodLike = PredictionMethod.EXACT,
+        *,
+        start: Optional[float] = None,
     ) -> np.ndarray:
         """Like :meth:`job_utilities` but as an array aligned with
         :attr:`job_ids` (the hot path for candidate evaluation)."""
@@ -378,7 +532,7 @@ class HypotheticalRPF:
         if method is PredictionMethod.EXACT:
             if len(self._job_ids) == 0:
                 return np.zeros(0)
-            level = self.equalized_level(aggregate_mhz)
+            level = self.equalized_level(aggregate_mhz, start=start)
             u = np.minimum(level, self._u_max)
             u = np.clip(u, NEGATIVE_INFINITY_UTILITY, None)
             u[self._remaining <= EPSILON] = 1.0

@@ -192,6 +192,9 @@ class BatchWorkloadModel:
         self._demand_cache: Dict[str, Tuple[object, AppDemand]] = {}
         self._specs_cache: Optional[Tuple[_JobTable, float, Dict]] = None
         self._spec_arrays_cache: Optional[Tuple[_JobTable, float, SpecArrays]] = None
+        #: The last equalized level solved below 1.0, where the next
+        #: exact solve starts probing (a start never changes a result).
+        self._last_level: Optional[float] = None
 
     @property
     def queue(self) -> JobQueue:
@@ -416,9 +419,7 @@ class BatchWorkloadModel:
 
         if future_rpfs:
             hypothetical = HypotheticalRPF(future_rpfs, levels=self._levels)
-            utilities.update(
-                hypothetical.job_utilities(aggregate, method=self._prediction_method)
-            )
+            utilities.update(self._predict(hypothetical, aggregate))
         if cache_key is not None:
             self._eval_cache[cache_key] = dict(utilities)
         return utilities
@@ -506,13 +507,24 @@ class BatchWorkloadModel:
                 u_max=u_max,
                 levels=self._levels,
             )
-            utilities.update(
-                hypothetical.job_utilities(
-                    aggregate, method=self._prediction_method
-                )
-            )
+            utilities.update(self._predict(hypothetical, aggregate))
         if cache_key is not None:
             self._eval_cache[cache_key] = dict(utilities)
+        return utilities
+
+    def _predict(
+        self, hypothetical: HypotheticalRPF, aggregate: float
+    ) -> Dict[str, float]:
+        """Per-job predictions of ``hypothetical`` at ``aggregate``; the
+        exact solve starts from the last level solved below 1.0 (a solve
+        that reaches 1.0 says nothing of where the next one lands)."""
+        utilities = hypothetical.job_utilities(
+            aggregate, method=self._prediction_method, start=self._last_level
+        )
+        if self._prediction_method is PredictionMethod.EXACT:
+            level = hypothetical.equalized_level(aggregate)
+            if level < 1.0:
+                self._last_level = level
         return utilities
 
     # ------------------------------------------------------------------

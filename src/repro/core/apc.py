@@ -526,13 +526,11 @@ class ApplicationPlacementController:
                     )
                     score = self._objective.score(utilities, churn, tol)
             if key is not None:
-                load_entries = tuple(
-                    (a, n, c)
-                    for a, nodes in trial.load_matrix().items()
-                    for n, c in nodes.items()
-                )
                 eval_memo[key] = (
-                    dict(utilities), dict(result.allocations), churn, load_entries
+                    dict(utilities),
+                    dict(result.allocations),
+                    churn,
+                    trial.load_entries(),
                 )
             return score, utilities, result.allocations
 

@@ -310,6 +310,16 @@ class PlacementState:
             if any(c > EPSILON for c in nodes.values())
         }
 
+    def load_entries(self) -> Tuple[Tuple[str, str, float], ...]:
+        """The entries of :meth:`load_matrix` as ``(app, node, cpu)``
+        triples in the same order, without building the copy."""
+        return tuple(
+            (a, n, c)
+            for a, nodes in self._load.items()
+            for n, c in nodes.items()
+            if c > EPSILON
+        )
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch.hypothetical import DEFAULT_UTILITY_LEVELS, HypotheticalRPF
+from repro.batch.model import BatchWorkloadModel
+from repro.batch.queue import JobQueue
 from repro.batch.rpf import JobAllocationRPF
 from repro.core.rpf import NEGATIVE_INFINITY_UTILITY
 from repro.errors import ConfigurationError
 from repro.units import EPSILON
 
 from tests.conftest import make_job
+from tests.hypothetical_oracle import oracle_level, oracle_utilities
 
 
 def rpfs_for(jobs, now=0.0):
@@ -237,3 +240,215 @@ class TestDemandIdentity:
             expected = self.where_form(h, level)
             assert h.demand_at(level).tobytes() == expected.tobytes()
             assert h.aggregate_demand_at(level) == float(expected.sum())
+
+
+def _arrays_instance(arrays):
+    """A fresh instance (empty level cache) over the same job fields."""
+    size = len(arrays["goal"])
+    return HypotheticalRPF.from_arrays(
+        [f"j{i}" for i in range(size)], **arrays
+    )
+
+
+def _random_fields(rng, size, plateau=False):
+    """Job fields with done and nearly-done jobs; ``plateau`` caps every
+    job at every level, so demand is flat (zero slope) throughout."""
+    remaining = rng.uniform(0.0, 1e6, size)
+    kind = rng.random(size)
+    remaining[kind < 0.15] = 0.0
+    remaining[(kind >= 0.15) & (kind < 0.2)] = EPSILON / 2
+    remaining[(kind >= 0.2) & (kind < 0.3)] = 1e-4
+    max_speed = rng.uniform(100.0, 4000.0, size)
+    if plateau:
+        max_speed = rng.uniform(1e-6, 1e-3, size)
+    return {
+        "remaining": remaining,
+        "goal": rng.uniform(100.0, 5000.0, size),
+        "relative_goal": rng.uniform(10.0, 4000.0, size),
+        "max_speed": max_speed,
+        "now": rng.uniform(0.0, 3000.0, size),
+        "u_max": rng.uniform(-60.0, 1.0, size),
+    }
+
+
+class TestPremiseGuard:
+    """Demand is monotone in the level only for positive relative goals
+    and non-negative remaining work; both constructors refuse the rest."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("relative_goal", 0.0),
+            ("relative_goal", -5.0),
+            ("relative_goal", float("nan")),
+            ("remaining", -1e-9),
+            ("remaining", float("nan")),
+        ],
+    )
+    def test_from_arrays_rejects(self, field, value):
+        arrays = _random_fields(np.random.default_rng(3), 4)
+        arrays[field][2] = value
+        with pytest.raises(ConfigurationError):
+            _arrays_instance(arrays)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("_relative_goal", 0.0),
+            ("_relative_goal", -5.0),
+            ("_relative_goal", float("nan")),
+            ("_remaining", -1e-9),
+            ("_remaining", float("nan")),
+        ],
+    )
+    def test_constructor_rejects(self, field, value):
+        rpfs = rpfs_for(two_identical_jobs())
+        setattr(rpfs[1], field, value)
+        with pytest.raises(ConfigurationError):
+            HypotheticalRPF(rpfs)
+
+    def test_accepts_done_jobs(self):
+        arrays = _random_fields(np.random.default_rng(3), 4)
+        arrays["remaining"][:] = 0.0
+        assert _arrays_instance(arrays).equalized_level(0.0) == 1.0
+
+
+class TestMonotoneDemand:
+    """The premise of the equalized-level solve: the float demand never
+    decreases as the level rises, across the EPSILON horizon edge too."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.sampled_from([1, 7, 9, 130, 300]),
+        pairs=st.lists(
+            st.tuples(
+                st.floats(NEGATIVE_INFINITY_UTILITY, 1.0),
+                st.floats(NEGATIVE_INFINITY_UTILITY, 1.0),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_demand_never_decreases(self, seed, size, pairs):
+        h = _arrays_instance(_random_fields(np.random.default_rng(seed), size))
+        # Levels that put a job's horizon just past, at and just short
+        # of EPSILON, where its demand jumps to the capped `inf` branch.
+        for k in range(min(size, 4)):
+            edge = (h._goal[k] - h._now[k] - EPSILON) / h._relative_goal[k]
+            below = np.nextafter(edge, -np.inf)
+            above = np.nextafter(edge, np.inf)
+            pairs += [(below, edge), (edge, above), (below, above)]
+        for x, y in pairs:
+            x, y = min(x, y), max(x, y)
+            low, high = h.demand_at(x), h.demand_at(y)
+            assert np.all(low <= high)
+            assert low.sum() <= high.sum()
+
+
+class TestOracleIdentity:
+    """The equalized-level solve returns exactly the level of the plain
+    48-step bisection it replaced (``tests/hypothetical_oracle.py``), for
+    any start value."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.one_of(
+            st.sampled_from([1, 2, 7, 8, 9, 127, 128, 129, 256, 300]),
+            st.integers(1, 300),
+        ),
+        plateau=st.booleans(),
+        edge_jobs=st.integers(0, 3),
+        drawn_level=st.floats(NEGATIVE_INFINITY_UTILITY, 1.0),
+        aggregate_kind=st.sampled_from(
+            ["zero", "at_level", "above_top", "fraction", "random"]
+        ),
+        fraction=st.floats(0.0, 1.0),
+        starts=st.lists(
+            st.one_of(
+                st.none(),
+                st.floats(allow_nan=True, allow_infinity=True),
+                st.floats(NEGATIVE_INFINITY_UTILITY, 1.0),
+            ),
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_level_and_utilities_match_oracle(
+        self, seed, size, plateau, edge_jobs, drawn_level, aggregate_kind,
+        fraction, starts,
+    ):
+        rng = np.random.default_rng(seed)
+        arrays = _random_fields(rng, size, plateau=plateau)
+        # Put some horizons at the EPSILON edge of the drawn level.
+        for k in range(min(edge_jobs, size)):
+            arrays["now"][k] = (
+                arrays["goal"][k]
+                - drawn_level * arrays["relative_goal"][k]
+                - EPSILON * (0.5 + k / 2)
+            )
+        h = _arrays_instance(arrays)
+        top = h.aggregate_demand_at(1.0)
+        aggregate = {
+            "zero": 0.0,
+            "at_level": h.aggregate_demand_at(drawn_level),
+            "above_top": top * (1.0 + fraction) + 1.0,
+            "fraction": top * fraction,
+            "random": float(rng.uniform(0.0, 2.0 * top + 1.0)),
+        }[aggregate_kind]
+
+        expected = oracle_level(_arrays_instance(arrays), aggregate)
+        expected_u = oracle_utilities(_arrays_instance(arrays), aggregate)
+        for start in starts + [
+            None,
+            expected,
+            np.nextafter(expected, -np.inf),
+            np.nextafter(expected, np.inf),
+            drawn_level,
+        ]:
+            assert _arrays_instance(arrays).equalized_level(
+                aggregate, start=start
+            ) == expected
+            u = _arrays_instance(arrays).utilities_array(aggregate, start=start)
+            assert u.tobytes() == expected_u.tobytes()
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_batch_model_evaluate_matches_oracle(self, vector, monkeypatch):
+        """Both evaluate paths, warm-starting each solve from the last,
+        predict what the oracle solve predicts."""
+
+        def run():
+            queue = JobQueue()
+            rng = np.random.default_rng(11)
+            for i in range(40):
+                job = make_job(
+                    f"j{i}",
+                    work=float(rng.uniform(1e3, 1e6)),
+                    max_speed=float(rng.uniform(200.0, 4000.0)),
+                    submit=float(rng.uniform(0.0, 50.0)),
+                    goal_factor=float(rng.uniform(1.0, 6.0)),
+                )
+                job.advance(float(rng.uniform(0.0, 0.5)) * job.profile.total_work)
+                queue.submit(job)
+            model = BatchWorkloadModel(
+                queue, cache=False, vectorize_min_jobs=0 if vector else 1000
+            )
+            out = []
+            for _ in range(25):
+                share = float(rng.uniform(0.0, 1.2))
+                allocations = {
+                    job.job_id: share * job.max_speed * float(rng.random())
+                    for job in queue.incomplete()
+                }
+                out.append(list(model.evaluate(allocations, 60.0, 600.0).items()))
+            return out
+
+        got = run()
+        monkeypatch.setattr(
+            HypotheticalRPF,
+            "equalized_level",
+            lambda self, aggregate_mhz, *, start=None: oracle_level(
+                self, aggregate_mhz
+            ),
+        )
+        assert got == run()

@@ -121,6 +121,35 @@ class TestLoadMatrix:
         assert state.as_matrix() == {"a": {FIRST: 1, SECOND: 1}}
         assert state.load_matrix() == {"a": {FIRST: 100, SECOND: 200}}
 
+    def test_load_entries_flatten_the_load_matrix_in_order(
+        self, state, small_cluster
+    ):
+        for app in ("c", "a", "b"):
+            state.place(app, FIRST, memory_mb=100)
+            state.place(app, SECOND, memory_mb=100)
+        state.set_cpu("c", SECOND, 300)
+        state.set_cpu("c", FIRST, 100)
+        state.set_cpu("a", FIRST, 50)
+        state.set_cpu("a", FIRST, 0.0)  # leaves an empty row behind
+        state.set_cpu("b", FIRST, 200)
+        # A restored state may hold entries at or below EPSILON; both
+        # views leave them out.
+        data = state.to_dict()
+        data["load"]["b"] = {SECOND: 1e-9, FIRST: 200}
+        data["load"]["d"] = {FIRST: 0.0}
+        state = PlacementState.from_dict(small_cluster, data)
+        flattened = tuple(
+            (a, n, c)
+            for a, nodes in state.load_matrix().items()
+            for n, c in nodes.items()
+        )
+        assert state.load_entries() == flattened
+        assert flattened == (
+            ("c", SECOND, 300),
+            ("c", FIRST, 100),
+            ("b", FIRST, 200),
+        )
+
 
 class TestCopy:
     def test_copy_is_independent(self, state):
